@@ -266,6 +266,19 @@ pub enum Mutation {
     RemovePolicy(PolicyId),
     /// Submit a user preference at a timestamp.
     SubmitPreference(UserPreference, Timestamp),
+    /// Choose an option of a policy's setting (Figure 4). The option may
+    /// be one the setting does not offer: the BMS rejects that choice and
+    /// logs nothing.
+    SettingChoice {
+        /// The choosing occupant.
+        user: UserId,
+        /// The policy whose setting is chosen.
+        policy: PolicyId,
+        /// The setting's key.
+        setting_key: String,
+        /// The chosen option.
+        option_index: usize,
+    },
     /// Retroactively enforce a previously submitted preference.
     Retroactive(PreferenceId),
     /// Ingest a batch of captured observations.
@@ -278,10 +291,11 @@ pub enum Mutation {
 
 /// Generates a seeded, deterministic mutation workload over the DBH
 /// building: simulator-driven ingest batches interleaved with policy
-/// publishes/retractions, preference submissions, retroactive purges,
-/// retention sweeps and checkpoints. Returns the building fixture, its
-/// occupants (administrative state the caller re-registers after every
-/// recovery) and the mutation list.
+/// publishes/retractions, preference submissions, setting choices (valid
+/// and out of range), retroactive purges, retention sweeps and
+/// checkpoints. Returns the building fixture, its occupants
+/// (administrative state the caller re-registers after every recovery)
+/// and the mutation list.
 pub fn gen_mutations(
     n: usize,
     ontology: &Ontology,
@@ -324,7 +338,8 @@ pub fn gen_mutations(
     // the catalog pair, plus a building-wide telemetry baseline covering
     // the subjectless environmental feeds (power, occupancy, temperature)
     // that dominate the simulator trace. Its two-hour retention gives the
-    // workload's gc sweeps real rows to reap.
+    // workload's gc sweeps real rows to reap, and its Figure 4 location
+    // setting gives occupants a choice to make.
     let c = ontology.concepts();
     let baseline = BuildingPolicy::new(
         PolicyId(0),
@@ -335,7 +350,9 @@ pub fn gen_mutations(
     )
     .with_actions(ActionSet::of(&[DataAction::Collect, DataAction::Store]))
     .with_retention(IsoDuration::hours(2))
-    .with_modality(Modality::OptOut);
+    .with_modality(Modality::OptOut)
+    .with_setting(BuildingPolicy::location_setting());
+    let setting = baseline.settings[0].clone();
     mutations.push(Mutation::AddPolicy(baseline));
     mutations.push(Mutation::AddPolicy(
         tippers_policy::catalog::policy1_thermostat(PolicyId(0), dbh.building, ontology),
@@ -365,6 +382,14 @@ pub fn gen_mutations(
                 })
                 .collect();
             Mutation::Ingest(batch)
+        } else if roll < 45 {
+            // One choice in four names an option past the setting's last.
+            Mutation::SettingChoice {
+                user: occupants[lcg.below(occupants.len())].user,
+                policy: PolicyId(0),
+                setting_key: setting.key.clone(),
+                option_index: lcg.below(setting.options.len() + 1),
+            }
         } else if roll < 60 {
             let pref = pref_pool[next_pref % pref_pool.len()].clone();
             next_pref += 1;
@@ -392,8 +417,9 @@ pub fn gen_mutations(
 }
 
 /// Applies one workload mutation to a BMS. Checkpoint failures are
-/// tolerated (the log's older segments stay authoritative); everything
-/// else is infallible by construction.
+/// tolerated (the log's older segments stay authoritative), and so are
+/// rejected setting choices (they change nothing); everything else is
+/// infallible by construction.
 pub fn apply_mutation(bms: &mut Tippers, mutation: &Mutation) {
     match mutation {
         Mutation::AddPolicy(p) => {
@@ -404,6 +430,14 @@ pub fn apply_mutation(bms: &mut Tippers, mutation: &Mutation) {
         }
         Mutation::SubmitPreference(p, now) => {
             bms.submit_preference(p.clone(), *now);
+        }
+        Mutation::SettingChoice {
+            user,
+            policy,
+            setting_key,
+            option_index,
+        } => {
+            let _ = bms.apply_setting_choice(*user, *policy, setting_key, *option_index);
         }
         Mutation::Retroactive(id) => {
             bms.apply_retroactively(*id);
@@ -575,6 +609,19 @@ mod tests {
         assert!(count(|m| matches!(m, Mutation::Gc(_))) > 2);
         assert!(count(|m| matches!(m, Mutation::RemovePolicy(_))) > 2);
         assert!(count(|m| matches!(m, Mutation::Retroactive(_))) > 2);
+        let options = BuildingPolicy::location_setting().options.len();
+        let chosen = |valid: bool| {
+            a.iter()
+                .filter(|m| {
+                    matches!(m, Mutation::SettingChoice { option_index, .. }
+                        if (*option_index < options) == valid)
+                })
+                .count()
+        };
+        assert!(
+            chosen(true) > 0 && chosen(false) > 0,
+            "valid and invalid choices"
+        );
     }
 
     #[test]

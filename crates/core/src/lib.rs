@@ -88,7 +88,7 @@ pub use shard::{
 };
 pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use store::{Store, StoredRow};
-pub use tippers::{EnforcerKind, Tippers, TippersConfig};
+pub use tippers::{Tippers, TippersConfig};
 pub use wal::{
     GroupCommitReport, InvalidationTail, RecoveryReport, SettingsMutation, WalConfig, WalError,
     WalRecord,

@@ -62,22 +62,13 @@ impl PreferenceManager {
         PreferenceManager::default()
     }
 
-    /// Adds a preference, assigning a fresh id. Returns the id.
-    pub fn add(&mut self, mut pref: UserPreference) -> PreferenceId {
-        let id = PreferenceId(self.next_id);
-        self.next_id += 1;
-        pref.id = id;
-        self.preferences.push(pref);
-        id
-    }
-
-    /// Inserts a preference keeping its caller-assigned id, advancing the
-    /// allocator past it. The sharded runtime routes every preference
-    /// through a single router-side allocator so that ids match the
+    /// Stores a preference under `id`, advancing the allocator past it.
+    /// The BMS passes its allocator's next id, or, in the sharded runtime,
+    /// an id from a single router-side allocator, so that ids match the
     /// unsharded engine byte-for-byte even though each shard stores only
     /// its own users' preferences.
-    pub fn insert_assigned(&mut self, pref: UserPreference) -> PreferenceId {
-        let id = pref.id;
+    pub fn insert(&mut self, mut pref: UserPreference, id: PreferenceId) -> PreferenceId {
+        pref.id = id;
         self.next_id = self.next_id.max(id.0 + 1);
         self.preferences.push(pref);
         id
@@ -117,8 +108,8 @@ impl PreferenceManager {
     }
 
     /// The id allocator's next value (without cloning the preferences).
-    pub(crate) fn next_id(&self) -> u64 {
-        self.next_id
+    pub(crate) fn next_id(&self) -> PreferenceId {
+        PreferenceId(self.next_id)
     }
 
     /// Rebuilds a manager from snapshotted parts.
@@ -140,8 +131,8 @@ impl PreferenceManager {
     }
 
     /// Converts an IoTA setting choice (Figure 4: pick an option of a
-    /// policy's setting) into a stored preference scoped to that policy's
-    /// data, purpose and service.
+    /// policy's setting) into a preference stored under `id`, scoped to
+    /// that policy's data, purpose and service.
     ///
     /// Choosing a different option of the same setting later replaces the
     /// earlier choice (the manager removes the previous setting-derived
@@ -149,27 +140,9 @@ impl PreferenceManager {
     ///
     /// # Errors
     ///
-    /// [`SettingsError::UnknownSetting`] / [`SettingsError::InvalidOption`].
+    /// [`SettingsError::UnknownSetting`] / [`SettingsError::InvalidOption`];
+    /// nothing changes on an error.
     pub fn apply_setting_choice(
-        &mut self,
-        user: UserId,
-        policy: &BuildingPolicy,
-        setting_key: &str,
-        option_index: usize,
-    ) -> Result<(PreferenceId, Effect), SettingsError> {
-        let (pref, effect) =
-            self.prepare_setting_choice(user, policy, setting_key, option_index)?;
-        Ok((self.add(pref), effect))
-    }
-
-    /// [`PreferenceManager::apply_setting_choice`], but keeping a
-    /// caller-assigned id for the derived preference (see
-    /// [`PreferenceManager::insert_assigned`]).
-    ///
-    /// # Errors
-    ///
-    /// [`SettingsError::UnknownSetting`] / [`SettingsError::InvalidOption`].
-    pub fn apply_setting_choice_assigned(
         &mut self,
         user: UserId,
         policy: &BuildingPolicy,
@@ -177,10 +150,9 @@ impl PreferenceManager {
         option_index: usize,
         id: PreferenceId,
     ) -> Result<(PreferenceId, Effect), SettingsError> {
-        let (mut pref, effect) =
+        let (pref, effect) =
             self.prepare_setting_choice(user, policy, setting_key, option_index)?;
-        pref.id = id;
-        Ok((self.insert_assigned(pref), effect))
+        Ok((self.insert(pref, id), effect))
     }
 
     /// Validates a setting choice, drops the superseded earlier choice for
@@ -257,12 +229,15 @@ mod tests {
     fn add_and_query() {
         let ont = Ontology::standard();
         let mut pm = PreferenceManager::new();
-        let id = pm.add(catalog::preference2_no_location(
-            PreferenceId(99),
-            UserId(1),
-            &ont,
-        ));
+        let pref = catalog::preference2_no_location(PreferenceId(99), UserId(1), &ont);
+        let id = pm.insert(pref, pm.next_id());
         assert_eq!(id, PreferenceId(0));
+        assert_eq!(pm.next_id(), PreferenceId(1));
+        // A caller-assigned id is kept and moves the allocator past it.
+        let pref = catalog::preference2_no_location(PreferenceId(0), UserId(2), &ont);
+        assert_eq!(pm.insert(pref, PreferenceId(7)), PreferenceId(7));
+        assert_eq!(pm.next_id(), PreferenceId(8));
+        assert!(pm.remove(PreferenceId(7)));
         assert_eq!(pm.for_user(UserId(1)).len(), 1);
         assert!(pm.for_user(UserId(2)).is_empty());
         assert!(pm.remove(id));
@@ -274,7 +249,7 @@ mod tests {
         let policy = policy_with_setting();
         let mut pm = PreferenceManager::new();
         let (_, effect) = pm
-            .apply_setting_choice(UserId(1), &policy, "location-sensing", 2)
+            .apply_setting_choice(UserId(1), &policy, "location-sensing", 2, pm.next_id())
             .unwrap();
         assert_eq!(effect, Effect::Deny);
         let prefs = pm.for_user(UserId(1));
@@ -289,15 +264,15 @@ mod tests {
     fn re_choosing_replaces_previous() {
         let policy = policy_with_setting();
         let mut pm = PreferenceManager::new();
-        pm.apply_setting_choice(UserId(1), &policy, "location-sensing", 2)
+        pm.apply_setting_choice(UserId(1), &policy, "location-sensing", 2, pm.next_id())
             .unwrap();
-        pm.apply_setting_choice(UserId(1), &policy, "location-sensing", 0)
+        pm.apply_setting_choice(UserId(1), &policy, "location-sensing", 0, pm.next_id())
             .unwrap();
         let prefs = pm.for_user(UserId(1));
         assert_eq!(prefs.len(), 1);
         assert_eq!(prefs[0].effect, Effect::Allow);
         // Different users do not clobber each other.
-        pm.apply_setting_choice(UserId(2), &policy, "location-sensing", 2)
+        pm.apply_setting_choice(UserId(2), &policy, "location-sensing", 2, pm.next_id())
             .unwrap();
         assert_eq!(pm.len(), 2);
     }
@@ -307,11 +282,11 @@ mod tests {
         let policy = policy_with_setting();
         let mut pm = PreferenceManager::new();
         assert!(matches!(
-            pm.apply_setting_choice(UserId(1), &policy, "nope", 0),
+            pm.apply_setting_choice(UserId(1), &policy, "nope", 0, pm.next_id()),
             Err(SettingsError::UnknownSetting { .. })
         ));
         assert!(matches!(
-            pm.apply_setting_choice(UserId(1), &policy, "location-sensing", 9),
+            pm.apply_setting_choice(UserId(1), &policy, "location-sensing", 9, pm.next_id()),
             Err(SettingsError::InvalidOption { available: 3, .. })
         ));
         assert!(pm.is_empty());

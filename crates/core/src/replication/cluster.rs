@@ -587,7 +587,7 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Propagates WAL failures recording the fence.
+    /// Propagates WAL failures while shipping the fence.
     pub fn promote(&mut self, node: usize) -> Result<u64, WalError> {
         assert!(!self.nodes[node].down, "cannot promote a crashed node");
         let epoch = self.next_epoch.max(self.nodes[node].epoch() + 1);
@@ -613,9 +613,7 @@ impl Cluster {
         // out of order is not durable-contiguous and is discarded.
         self.nodes[node].pending.clear();
         let index = self.nodes[node].durable_index();
-        self.nodes[node]
-            .bms
-            .record_and_log(WalRecord::NewEpoch { epoch })?;
+        self.nodes[node].bms.commit(WalRecord::NewEpoch { epoch });
         self.nodes[node].bms.drain_record_tap();
         let prev_epoch = self.nodes[node].frames.last().map_or(0, |f| f.epoch);
         self.nodes[node].frames.push(Frame {
@@ -806,7 +804,7 @@ pub fn replay(
     };
     let mut node = Node::open(0, ontology, model, &reference, occupants)?;
     for frame in frames {
-        node.bms.record_and_log(frame.record.clone())?;
+        node.bms.commit(frame.record.clone()).replayed()?;
         node.bms.drain_record_tap();
     }
     // The reference answers like a follower: check-only on quotas, never

@@ -110,10 +110,19 @@ impl Node {
         self.frames.len() as u64
     }
 
-    /// Applies one frame: records it through the BMS (durable + applied)
+    /// Applies one frame: commits it through the BMS (durable + applied)
     /// and appends it to the frame prefix.
     fn apply(&mut self, frame: Frame) -> Result<(), WalError> {
-        self.bms.record_and_log(frame.record.clone())?;
+        // `restart` rebuilds frames from log positions, so every frame
+        // must reach the log. A primary frames only records that changed
+        // its state, and a replica holding the same prefix sees the same
+        // change; a frame that changes nothing means the histories differ.
+        if !self.bms.commit(frame.record.clone()).replayed()?.changed() {
+            return Err(WalError::Replay(format!(
+                "frame {} changed nothing on node {}",
+                frame.index, self.id
+            )));
+        }
         self.bms.drain_record_tap();
         self.frames.push(frame);
         Ok(())

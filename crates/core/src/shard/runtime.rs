@@ -91,7 +91,7 @@ use crate::policy_manager::PolicyManager;
 use crate::preference_manager::SettingsError;
 use crate::request::{DataRequest, DataResponse, SubjectResult, SubjectSelector};
 use crate::tippers::{Tippers, TippersConfig};
-use crate::wal::{FsLog, LogIo, MemLog, RecoveryReport, WalError};
+use crate::wal::{FsLog, LogIo, MemLog, RecoveryReport, WalError, WalRecord};
 
 use super::fence::WriterFence;
 use super::route::ShardRouter;
@@ -260,19 +260,6 @@ impl ShardBacking {
     }
 }
 
-/// A policy/preference mutation accepted while its shard was down that
-/// could not be committed durably because the shard's WAL partition was
-/// unreadable — the in-memory *fallback* tier, replayed in order at the
-/// next successful rebuild. The primary tier is the slot's standby
-/// engine, which commits accepted mutations straight into the
-/// partition. (Observations are never queued on either tier: sensor
-/// feed is droppable, and the drop is counted.)
-enum PendingOp {
-    AddPolicy(BuildingPolicy),
-    RemovePolicy(PolicyId),
-    SubmitPreference(UserPreference, Timestamp),
-}
-
 struct ShardSlot {
     backing: ShardBacking,
     /// The partition's writer-epoch authority: advanced at quarantine,
@@ -286,7 +273,14 @@ struct ShardSlot {
     /// implies the slot is `Down`.
     catchup: Option<Tippers>,
     health: ShardHealth,
-    pending: Vec<PendingOp>,
+    /// Policy/preference records accepted while the slot was down that
+    /// could not be committed durably because the WAL partition was
+    /// unreadable — the in-memory *fallback* tier, committed in order at
+    /// the next successful rebuild. The primary tier is the standby
+    /// engine, which commits accepted records straight into the
+    /// partition. (Observations are never queued on either tier: sensor
+    /// feed is droppable, and the drop is counted.)
+    pending: Vec<WalRecord>,
     panics: u64,
     stalls: u64,
     restarts: u64,
@@ -614,22 +608,12 @@ impl ShardedTippers {
         Ok(bms)
     }
 
-    /// Replays the fallback queue (mutations accepted while the
-    /// partition was unreadable) into an engine, in arrival order.
+    /// Commits the fallback queue (records accepted while the partition
+    /// was unreadable) through an engine, in arrival order.
     fn drain_pending(&mut self, idx: usize, bms: &mut Tippers) {
-        for op in std::mem::take(&mut self.slots[idx].pending) {
+        for record in std::mem::take(&mut self.slots[idx].pending) {
             self.pending_replayed += 1;
-            match op {
-                PendingOp::AddPolicy(policy) => {
-                    bms.add_policy(policy);
-                }
-                PendingOp::RemovePolicy(id) => {
-                    bms.remove_policy(id);
-                }
-                PendingOp::SubmitPreference(pref, now) => {
-                    bms.submit_preference_assigned(pref, now);
-                }
-            }
+            bms.commit(record);
         }
     }
 
@@ -785,67 +769,33 @@ impl ShardedTippers {
         }
     }
 
-    // ---- durable offline commits ---------------------------------------------
+    // ---- durable commits ----------------------------------------------------
 
-    /// Commits a preference accepted while its owner shard is down:
-    /// durably through the standby engine when the partition is readable
-    /// (skipping it when an indeterminate earlier write turns out to
-    /// have committed it already — ids are consumed exactly once),
-    /// otherwise onto the in-memory fallback queue.
-    fn commit_preference_offline(&mut self, idx: usize, pref: UserPreference, now: Timestamp) {
-        if self.ensure_catchup(idx) {
-            let bms = self.slots[idx]
-                .catchup
-                .as_mut()
-                .expect("ensure_catchup built the standby engine");
-            // Router ids are allocated in one monotone sequence and the
-            // per-shard allocator maxes over committed ids, so the
-            // replayed allocator sits past `pref.id` iff this exact
-            // record committed before the fence landed.
-            if bms.preference_next_id() <= pref.id.0 {
-                bms.submit_preference_assigned(pref, now);
-                self.pending_replayed += 1;
+    /// Commits one record on shard `idx`: through its worker while the
+    /// shard is up, otherwise durably through the standby engine when the
+    /// partition is readable, otherwise onto the in-memory fallback
+    /// queue. A job the worker skipped was definitely not applied; a lost
+    /// one may have been, so `landed` reads the standby's replayed id
+    /// allocators to tell whether the record already committed — ids are
+    /// consumed exactly once. A record that changes nothing, like
+    /// removing an absent policy, commits nothing either way.
+    fn commit_on(&mut self, idx: usize, record: &WalRecord, landed: impl FnOnce(&Tippers) -> bool) {
+        if self.ensure_up(idx) {
+            let shipped = record.clone();
+            if let ShardReply::Done(_) = self.dispatch(idx, move |bms| bms.commit(shipped)) {
+                return;
             }
-        } else {
-            self.slots[idx]
-                .pending
-                .push(PendingOp::SubmitPreference(pref, now));
         }
-    }
-
-    /// Commits a broadcast policy add on a down shard (durably via the
-    /// standby engine, with the same committed-already check keyed on
-    /// the lockstep policy-id allocator), or queues it as fallback.
-    fn commit_policy_offline(&mut self, idx: usize, policy: BuildingPolicy, expected: PolicyId) {
-        if self.ensure_catchup(idx) {
-            let bms = self.slots[idx]
-                .catchup
-                .as_mut()
-                .expect("ensure_catchup built the standby engine");
-            if bms.policy_next_id() <= expected.0 {
-                let got = bms.add_policy(policy);
-                debug_assert_eq!(got, expected, "policy allocators must stay in lockstep");
-                self.pending_replayed += 1;
-            }
-        } else {
-            self.slots[idx].pending.push(PendingOp::AddPolicy(policy));
+        if !self.ensure_catchup(idx) {
+            self.slots[idx].pending.push(record.clone());
+            return;
         }
-    }
-
-    /// Commits a broadcast policy removal on a down shard. Removal is
-    /// naturally idempotent: re-removing an already-removed id is a
-    /// no-op that logs nothing.
-    fn commit_remove_offline(&mut self, idx: usize, id: PolicyId) {
-        if self.ensure_catchup(idx) {
-            let bms = self.slots[idx]
-                .catchup
-                .as_mut()
-                .expect("ensure_catchup built the standby engine");
-            if bms.remove_policy(id) {
-                self.pending_replayed += 1;
-            }
-        } else {
-            self.slots[idx].pending.push(PendingOp::RemovePolicy(id));
+        let bms = self.slots[idx]
+            .catchup
+            .as_mut()
+            .expect("ensure_catchup built the standby engine");
+        if !landed(bms) && bms.commit(record.clone()).changed() {
+            self.pending_replayed += 1;
         }
     }
 
@@ -936,23 +886,9 @@ impl ShardedTippers {
     /// commits it durably through its standby engine.
     pub fn add_policy(&mut self, policy: BuildingPolicy) -> PolicyId {
         let id = self.policy_mirror.add(policy.clone());
+        let record = WalRecord::AddPolicy { policy };
         for idx in 0..self.slots.len() {
-            if !self.ensure_up(idx) {
-                self.commit_policy_offline(idx, policy.clone(), id);
-                continue;
-            }
-            let p = policy.clone();
-            match self.dispatch(idx, move |bms| bms.add_policy(p)) {
-                ShardReply::Done(shard_id) => {
-                    debug_assert_eq!(shard_id, id, "policy allocators must stay in lockstep");
-                }
-                // Skipped: definitely not applied — commit offline.
-                // Lost: maybe applied — the offline path checks the
-                // replayed allocator and commits at most once.
-                ShardReply::Skipped | ShardReply::Lost => {
-                    self.commit_policy_offline(idx, policy.clone(), id);
-                }
-            }
+            self.commit_on(idx, &record, |bms| bms.policy_next_id() > id.0);
         }
         id
     }
@@ -961,15 +897,11 @@ impl ShardedTippers {
     /// through its standby engine.
     pub fn remove_policy(&mut self, id: PolicyId) -> bool {
         let removed = self.policy_mirror.remove(id);
+        let record = WalRecord::RemovePolicy { policy: id };
         for idx in 0..self.slots.len() {
-            if !self.ensure_up(idx) {
-                self.commit_remove_offline(idx, id);
-                continue;
-            }
-            match self.dispatch(idx, move |bms| bms.remove_policy(id)) {
-                ShardReply::Done(_) => {}
-                ShardReply::Skipped | ShardReply::Lost => self.commit_remove_offline(idx, id),
-            }
+            // Removal is idempotent: re-removing an already-removed id
+            // changes nothing and commits nothing.
+            self.commit_on(idx, &record, |_| false);
         }
         removed
     }
@@ -991,20 +923,11 @@ impl ShardedTippers {
         self.next_preference_id += 1;
         pref.id = id;
         let idx = self.router.shard_of_user(pref.user);
-        if !self.ensure_up(idx) {
-            self.commit_preference_offline(idx, pref, now);
-            return id;
-        }
-        let p = pref.clone();
-        match self.dispatch(idx, move |bms| bms.submit_preference_assigned(p, now)) {
-            ShardReply::Done(got) => debug_assert_eq!(got, id),
-            // Skipped: definitely not applied. Lost: maybe applied — the
-            // offline path checks the replayed allocator, so the record
-            // lands exactly once either way.
-            ShardReply::Skipped | ShardReply::Lost => {
-                self.commit_preference_offline(idx, pref, now);
-            }
-        }
+        let record = WalRecord::SubmitPreferenceAssigned {
+            preference: pref,
+            now,
+        };
+        self.commit_on(idx, &record, |bms| preference_landed(bms, id));
         id
     }
 
@@ -1053,13 +976,11 @@ impl ShardedTippers {
                 // the choice actually took effect — never reuse an id
                 // that may name a durable preference.
                 if self.ensure_catchup(idx) {
-                    let committed = self.slots[idx]
+                    let standby = self.slots[idx]
                         .catchup
                         .as_ref()
-                        .expect("ensure_catchup built the standby engine")
-                        .preference_next_id()
-                        > id.0;
-                    if committed {
+                        .expect("ensure_catchup built the standby engine");
+                    if preference_landed(standby, id) {
                         self.next_preference_id += 1;
                         return Ok(id);
                     }
@@ -1370,6 +1291,15 @@ impl std::fmt::Debug for ShardedTippers {
     }
 }
 
+/// Whether a router-allocated preference id already committed on a
+/// shard. Router ids are allocated in one monotone sequence and the
+/// per-shard allocator maxes over committed ids, so the replayed
+/// allocator sits past `id` iff that record committed before the fence
+/// landed.
+fn preference_landed(bms: &Tippers, id: PreferenceId) -> bool {
+    bms.preference_next_id() > id.0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1444,7 +1374,11 @@ mod tests {
         // The offline commit resolves the doubt against the replayed
         // (fenced, quiescent) partition: already committed, so nothing
         // to redo.
-        st.commit_preference_offline(idx, pref, now);
+        let record = WalRecord::SubmitPreferenceAssigned {
+            preference: pref,
+            now,
+        };
+        st.commit_on(idx, &record, |bms| preference_landed(bms, id));
         assert_eq!(st.stats().pending_replayed, 0);
 
         // After recovery the preference exists exactly once.
@@ -1492,7 +1426,11 @@ mod tests {
         // The fence is up; *now* let the abandoned worker try to commit.
         fenced_tx.send(()).expect("worker is parked on the signal");
 
-        st.commit_preference_offline(idx, pref, now);
+        let record = WalRecord::SubmitPreferenceAssigned {
+            preference: pref,
+            now,
+        };
+        st.commit_on(idx, &record, |bms| preference_landed(bms, id));
         assert_eq!(st.stats().pending_replayed, 1);
 
         st.note_time(Timestamp::at(0, 9, 10));

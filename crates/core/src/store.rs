@@ -174,39 +174,54 @@ impl Store {
     /// Deletes every row whose expiry has passed. Returns how many were
     /// deleted. Rebuilds indexes; O(n).
     pub fn gc(&mut self, now: Timestamp) -> usize {
-        self.gc_collect(now).len()
-    }
-
-    /// Like [`Store::gc`] but returns the deleted rows themselves — the
-    /// retention sweeper's input for deletion certificates and physical
-    /// `SweepDelete` replay.
-    pub fn gc_collect(&mut self, now: Timestamp) -> Vec<StoredRow> {
-        let mut deleted = Vec::new();
-        self.rows.retain(|r| {
-            if r.expires_at.is_none_or(|e| e > now) {
-                true
-            } else {
-                deleted.push(r.clone());
-                false
-            }
-        });
-        if !deleted.is_empty() {
+        let before = self.rows.len();
+        self.rows.retain(|r| !is_expired(r, now));
+        let removed = before - self.rows.len();
+        if removed > 0 {
             self.rebuild_index();
         }
-        deleted
+        removed
+    }
+
+    /// The rows [`Store::gc`] would delete at `now`, in store order — the
+    /// retention sweeper's input for deletion certificates and its
+    /// physical `SweepDelete` record.
+    pub fn expired(&self, now: Timestamp) -> Vec<StoredRow> {
+        self.rows
+            .iter()
+            .filter(|r| is_expired(r, now))
+            .cloned()
+            .collect()
     }
 
     /// Physically removes the given rows (each at most once, by equality)
-    /// — replaying a sweep's `SweepDelete` record. Returns how many were
-    /// actually removed.
+    /// — applying a sweep's `SweepDelete` record. Returns how many were
+    /// actually removed. Each target removes the first live row equal to
+    /// it, so a row listed `k` times removes its first `k` occurrences:
+    /// one pass in store order does that, finding equal targets through
+    /// their capture time. O(n + k).
     pub fn remove_rows(&mut self, rows: &[StoredRow]) -> usize {
-        let mut removed = 0;
-        for target in rows {
-            if let Some(i) = self.rows.iter().position(|r| r == target) {
-                self.rows.remove(i);
-                removed += 1;
-            }
+        let mut targets: HashMap<Timestamp, Vec<&StoredRow>> = HashMap::new();
+        for row in rows {
+            targets
+                .entry(row.observation.timestamp)
+                .or_default()
+                .push(row);
         }
+        let before = self.rows.len();
+        self.rows.retain(|r| {
+            let Some(bucket) = targets.get_mut(&r.observation.timestamp) else {
+                return true;
+            };
+            match bucket.iter().position(|t| *t == r) {
+                Some(i) => {
+                    bucket.swap_remove(i);
+                    false
+                }
+                None => true,
+            }
+        });
+        let removed = before - self.rows.len();
         if removed > 0 {
             self.rebuild_index();
         }
@@ -245,6 +260,11 @@ impl Store {
     pub fn iter(&self) -> impl Iterator<Item = &StoredRow> {
         self.rows.iter()
     }
+}
+
+/// True when a row's retention has run out at `now`.
+fn is_expired(row: &StoredRow, now: Timestamp) -> bool {
+    row.expires_at.is_some_and(|e| e <= now)
 }
 
 #[cfg(test)]
@@ -439,6 +459,52 @@ mod tests {
                         .count();
                     prop_assert_eq!(via_index, survivors);
                 }
+            }
+        }
+    }
+
+    mod remove_rows_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// `remove_rows` equals removing, target by target, the first
+            /// live row equal to it — with duplicate rows in the store and
+            /// duplicate, absent and out-of-order targets.
+            #[test]
+            fn remove_rows_matches_first_match_removal(
+                rows in proptest::collection::vec((0u64..3, 0i64..4), 0..24),
+                picks in proptest::collection::vec((0u64..4, 0i64..5), 0..24),
+            ) {
+                let ont = Ontology::standard();
+                let row = |user: u64, offset: i64| {
+                    let t = Timestamp(offset);
+                    let (o, cat) = obs(&ont, user, t);
+                    StoredRow {
+                        observation: o,
+                        category: cat,
+                        policy: PolicyId(0),
+                        stored_at: t,
+                        expires_at: None,
+                    }
+                };
+                let mut store = Store::new();
+                for &(user, offset) in &rows {
+                    store.insert_row(row(user, offset));
+                }
+                let targets: Vec<StoredRow> =
+                    picks.iter().map(|&(user, offset)| row(user, offset)).collect();
+                let mut expected: Vec<StoredRow> = store.iter().cloned().collect();
+                let mut removed = 0;
+                for target in &targets {
+                    if let Some(i) = expected.iter().position(|r| r == target) {
+                        expected.remove(i);
+                        removed += 1;
+                    }
+                }
+                prop_assert_eq!(store.remove_rows(&targets), removed);
+                prop_assert_eq!(store.iter().cloned().collect::<Vec<StoredRow>>(), expected);
+                prop_assert!(store.index_consistent());
             }
         }
     }

@@ -25,7 +25,7 @@ use crate::aggregate::{bucketize, AggregateRequest, AggregateResponse};
 use crate::audit::chain::{AuditChain, ChainFault, SealedSegment, ARCHIVE_PREFIX, SEGMENT_RECORDS};
 use crate::audit::hash::{hex, sha256};
 use crate::audit::{AuditEntry, AuditLog, ChainEvent, DeletionCertificate, UserNotification};
-use crate::enforce::{EnforcementDecision, Enforcer, IndexedEnforcer, NaiveEnforcer, RequestFlow};
+use crate::enforce::{EnforcementDecision, Enforcer, IndexedEnforcer, RequestFlow};
 use crate::ingest::{
     coarsen_at_capture, CaptureDrop, CaptureDropReason, CaptureFilter, IngestConfig,
     IngestPipeline, IngestReport, IngestStats, LadderRung,
@@ -40,23 +40,11 @@ use crate::sensor_manager::{HvacCommand, SensorManager};
 use crate::store::{Store, StoredRow};
 use crate::wal::{FaultyLog, FsLog, LogIo, RecoveryReport, Wal, WalConfig, WalError, WalRecord};
 
-/// Which enforcement engine to run (design decision D1; experiment E8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EnforcerKind {
-    /// Linear scan (the baseline).
-    Naive,
-    /// Category-indexed (the optimized path).
-    #[default]
-    Indexed,
-}
-
 /// BMS configuration.
 #[derive(Debug, Clone)]
 pub struct TippersConfig {
     /// Conflict-resolution strategy (default: mandatory policies prevail).
     pub strategy: ResolutionStrategy,
-    /// Enforcement engine.
-    pub enforcer: EnforcerKind,
     /// TTL for published advertisements, seconds.
     pub advertisement_ttl_secs: i64,
     /// Seed for noise injection.
@@ -103,7 +91,6 @@ impl Default for TippersConfig {
     fn default() -> Self {
         TippersConfig {
             strategy: ResolutionStrategy::PolicyPrevails,
-            enforcer: EnforcerKind::Indexed,
             advertisement_ttl_secs: 86_400,
             noise_seed: 0x71_bb,
             k_anonymity: 5,
@@ -130,22 +117,58 @@ struct PendingSweep {
     deleted_logged: bool,
 }
 
-#[derive(Debug)]
-enum EnforcerImpl {
-    Naive(NaiveEnforcer),
-    Indexed(IndexedEnforcer),
+/// What applying one [`WalRecord`] changed. Only a state change is
+/// logged: a record that changes nothing never reaches the log.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Change {
+    /// Durable state is as it was (an absent policy removed, an epoch
+    /// fence already passed, an empty ingest).
+    Nothing,
+    /// A setting choice failed validation; nothing changed.
+    Rejected(SettingsError),
+    /// Durable state changed.
+    State,
+    /// The policy set changed: this policy was added or removed.
+    Policy(PolicyId),
+    /// A preference was stored under this id.
+    Preference(PreferenceId),
+    /// This many stored rows were deleted; zero changes nothing.
+    Rows(usize),
 }
 
-impl EnforcerImpl {
-    fn decide(
-        &self,
-        flow: &RequestFlow,
-        ontology: &Ontology,
-        model: &SpatialModel,
-    ) -> EnforcementDecision {
+impl Change {
+    /// True when durable state changed, so the record must be logged.
+    pub(crate) fn changed(&self) -> bool {
+        !matches!(
+            self,
+            Change::Nothing | Change::Rejected(_) | Change::Rows(0)
+        )
+    }
+
+    /// A record that committed once already (recovered from the log or
+    /// shipped by a primary) must apply again: a rejection means the log
+    /// and this code disagree about semantics.
+    pub(crate) fn replayed(self) -> Result<Change, WalError> {
         match self {
-            EnforcerImpl::Naive(e) => e.decide(flow, ontology, model),
-            EnforcerImpl::Indexed(e) => e.decide(flow, ontology, model),
+            Change::Rejected(e) => Err(WalError::Replay(format!("setting choice: {e}"))),
+            change => Ok(change),
+        }
+    }
+
+    /// The stored preference's id, or why the setting choice was rejected.
+    fn preference(self) -> Result<PreferenceId, SettingsError> {
+        match self {
+            Change::Preference(id) => Ok(id),
+            Change::Rejected(e) => Err(e),
+            change => unreachable!("preference records store or reject, got {change:?}"),
+        }
+    }
+
+    /// Rows deleted.
+    fn rows(&self) -> usize {
+        match self {
+            Change::Rows(n) => *n,
+            _ => 0,
         }
     }
 }
@@ -163,7 +186,7 @@ pub struct Tippers {
     audit: AuditLog,
     groups: HashMap<UserId, UserGroup>,
     macs: HashMap<UserId, MacAddress>,
-    enforcer: Option<EnforcerImpl>,
+    enforcer: Option<IndexedEnforcer>,
     noise_rng: StdRng,
     health: HealthMonitor,
     store_write_failures: u64,
@@ -327,7 +350,7 @@ impl Tippers {
             bms.audit_chain.resume_after(last);
         }
         for record in records {
-            bms.apply_record(record)?;
+            bms.apply(record)?.replayed()?;
         }
         bms.wal_truncations = report.truncated_tails;
         bms.wal = Some(wal);
@@ -338,12 +361,19 @@ impl Tippers {
         Ok((bms, report))
     }
 
-    /// Replays one recovered log record (the in-memory mutation without
-    /// re-logging it). Also the replication layer's apply path: a replica
-    /// runs every shipped frame through here, so replicated state is byte-
-    /// for-byte the state a crash recovery of the primary would produce.
-    pub(crate) fn apply_record(&mut self, record: WalRecord) -> Result<(), WalError> {
-        match record {
+    /// Applies one record's in-memory effect and reports what changed.
+    /// This is the only code that changes durable state: live mutations
+    /// reach it through [`Tippers::commit`], recovery replays the log
+    /// through it, and the two log-first sequences (quota charges and the
+    /// batched-ingest group commit) apply their records through it. A
+    /// change to the policy set or the preferences drops the enforcement
+    /// engine; a record that changes nothing keeps it.
+    ///
+    /// # Errors
+    ///
+    /// [`WalError::Snapshot`] for a checkpoint whose state is inconsistent.
+    fn apply(&mut self, record: WalRecord) -> Result<Change, WalError> {
+        let change = match record {
             WalRecord::Checkpoint {
                 snapshot,
                 policies,
@@ -359,20 +389,23 @@ impl Tippers {
                 }
                 self.restore_durable_state(snapshot)?;
                 self.policies = PolicyManager::from_parts(policies, next_policy_id);
+                Change::State
             }
-            WalRecord::AddPolicy { policy } => {
-                self.enforcer = None;
-                self.policies.add(policy);
-            }
+            WalRecord::AddPolicy { policy } => Change::Policy(self.policies.add(policy)),
             WalRecord::RemovePolicy { policy } => {
-                self.enforcer = None;
-                self.policies.remove(policy);
+                if self.policies.remove(policy) {
+                    Change::Policy(policy)
+                } else {
+                    Change::Nothing
+                }
             }
             WalRecord::SubmitPreference { preference, now } => {
-                self.submit_preference_inner(preference, now);
+                let id = self.preferences.next_id();
+                self.intake_preference(preference, id, now)
             }
             WalRecord::SubmitPreferenceAssigned { preference, now } => {
-                self.submit_preference_assigned_inner(preference, now);
+                let id = preference.id;
+                self.intake_preference(preference, id, now)
             }
             WalRecord::SettingChoice {
                 user,
@@ -380,8 +413,8 @@ impl Tippers {
                 setting_key,
                 option_index,
             } => {
-                self.apply_setting_choice_inner(user, policy, &setting_key, option_index)
-                    .map_err(|e| WalError::Replay(format!("setting choice: {e}")))?;
+                let id = self.preferences.next_id();
+                self.choose_setting(user, policy, &setting_key, option_index, id)
             }
             WalRecord::SettingChoiceAssigned {
                 user,
@@ -389,27 +422,21 @@ impl Tippers {
                 setting_key,
                 option_index,
                 id,
-            } => {
-                self.apply_setting_choice_assigned_inner(
-                    user,
-                    policy,
-                    &setting_key,
-                    option_index,
-                    id,
-                )
-                .map_err(|e| WalError::Replay(format!("setting choice: {e}")))?;
-            }
+            } => self.choose_setting(user, policy, &setting_key, option_index, id),
             WalRecord::Retroactive { preference } => {
-                self.apply_retroactively_inner(preference);
+                Change::Rows(self.retroactive_purge(preference))
             }
             WalRecord::Ingest { rows } => {
-                for row in rows {
-                    self.store.insert_row(row);
+                if rows.is_empty() {
+                    Change::Nothing
+                } else {
+                    for row in rows {
+                        self.store.insert_row(row);
+                    }
+                    Change::State
                 }
             }
-            WalRecord::Gc { now } => {
-                self.store.gc(now);
-            }
+            WalRecord::Gc { now } => Change::Rows(self.store.gc(now)),
             WalRecord::SweepBegin { id, now } => {
                 self.next_sweep_id = self.next_sweep_id.max(id + 1);
                 self.last_sweep_at = Some(now);
@@ -419,6 +446,7 @@ impl Tippers {
                     rows: Vec::new(),
                     deleted_logged: false,
                 });
+                Change::State
             }
             WalRecord::SweepDelete { id, rows } => {
                 self.store.remove_rows(&rows);
@@ -426,6 +454,7 @@ impl Tippers {
                     pending.rows = rows;
                     pending.deleted_logged = true;
                 }
+                Change::State
             }
             WalRecord::SweepCommit {
                 id,
@@ -444,6 +473,7 @@ impl Tippers {
                 if self.pending_sweep.as_ref().is_some_and(|p| p.id == id) {
                     self.pending_sweep = None;
                 }
+                Change::State
             }
             WalRecord::QuotaCharge {
                 user,
@@ -459,15 +489,43 @@ impl Tippers {
                     window_secs: None,
                 });
                 self.quotas.charge(user, &service, purpose, now, config);
+                Change::State
             }
             WalRecord::NewEpoch { epoch } => {
-                self.replication_epoch = self.replication_epoch.max(epoch);
+                if epoch > self.replication_epoch {
+                    self.replication_epoch = epoch;
+                    Change::State
+                } else {
+                    Change::Nothing
+                }
             }
             WalRecord::Notice { user, now, text } => {
                 self.audit.notify(user, now, text);
+                Change::State
             }
+        };
+        if let Change::Policy(_) | Change::Preference(_) = change {
+            self.enforcer = None;
         }
-        Ok(())
+        Ok(change)
+    }
+
+    /// Commits one durable mutation: applies it and logs it when that
+    /// changed state. Live mutations, replicated frames and the sharded
+    /// runtime's catch-up writes all come through here.
+    ///
+    /// # Panics
+    ///
+    /// On a [`WalRecord::Checkpoint`], which is replayed, never committed.
+    pub(crate) fn commit(&mut self, record: WalRecord) -> Change {
+        let logged = (self.wal.is_some() || self.record_tap.is_some()).then(|| record.clone());
+        let change = self
+            .apply(record)
+            .expect("only checkpoints fail to apply, and they are never committed");
+        if let Some(record) = logged.filter(|_| change.changed()) {
+            self.log(record);
+        }
+        change
     }
 
     /// Appends a record for a mutation that was just applied. A no-op
@@ -475,26 +533,17 @@ impl Tippers {
     /// is ahead of the durable state until the next successful append),
     /// never silently swallowed.
     fn log(&mut self, record: WalRecord) {
-        if let Some(tap) = self.record_tap.as_mut() {
-            tap.push(record.clone());
+        if let Some(wal) = self.wal.as_mut() {
+            if wal.append(&record).is_err() {
+                self.wal_append_failures += 1;
+            }
         }
-        let Some(wal) = self.wal.as_mut() else {
-            return;
-        };
-        if wal.append(&record).is_err() {
-            self.wal_append_failures += 1;
+        if let Some(tap) = self.record_tap.as_mut() {
+            tap.push(record);
         }
     }
 
     // ---- replication hooks (see `crate::replication`) ------------------------
-
-    /// Applies a record *and* logs it durably: the replication layer's
-    /// write path for shipped frames, epoch fences and merge notices.
-    pub(crate) fn record_and_log(&mut self, record: WalRecord) -> Result<(), WalError> {
-        self.apply_record(record.clone())?;
-        self.log(record);
-        Ok(())
-    }
 
     /// Starts cloning every logged record into the record tap.
     pub(crate) fn enable_record_tap(&mut self) {
@@ -621,8 +670,7 @@ impl Tippers {
     /// every replica replaying the record re-queues it and the user's
     /// IoTA is re-notified no matter which node it polls.
     pub(crate) fn record_notice(&mut self, user: UserId, now: Timestamp, text: String) {
-        self.audit.notify(user, now, text.clone());
-        self.log(WalRecord::Notice { user, now, text });
+        self.commit(WalRecord::Notice { user, now, text });
     }
 
     /// Highest durably recorded epoch fence ([`WalRecord::NewEpoch`]); 0
@@ -749,23 +797,16 @@ impl Tippers {
 
     /// Adds a building policy; returns its assigned id.
     pub fn add_policy(&mut self, policy: BuildingPolicy) -> PolicyId {
-        let record = WalRecord::AddPolicy {
-            policy: policy.clone(),
+        let Change::Policy(id) = self.commit(WalRecord::AddPolicy { policy }) else {
+            unreachable!("adding a policy always changes the policy set");
         };
-        self.enforcer = None;
-        let id = self.policies.add(policy);
-        self.log(record);
         id
     }
 
-    /// Removes a policy.
+    /// Removes a policy. Returns whether it existed.
     pub fn remove_policy(&mut self, id: PolicyId) -> bool {
-        self.enforcer = None;
-        let removed = self.policies.remove(id);
-        if removed {
-            self.log(WalRecord::RemovePolicy { policy: id });
-        }
-        removed
+        self.commit(WalRecord::RemovePolicy { policy: id })
+            .changed()
     }
 
     /// All policies.
@@ -784,7 +825,7 @@ impl Tippers {
     /// the sharded write path's commit detector: a router-assigned id
     /// below this position has definitely been applied here.
     pub(crate) fn preference_next_id(&self) -> u64 {
-        self.preferences.next_id()
+        self.preferences.next_id().0
     }
 
     /// The policy id-allocator position (the sharded router's commit
@@ -853,19 +894,12 @@ impl Tippers {
     /// Stores a preference submitted by a user's IoTA; detects conflicts
     /// with mandatory policies and queues the notification (§III.B).
     pub fn submit_preference(&mut self, pref: UserPreference, now: Timestamp) -> PreferenceId {
-        let record = WalRecord::SubmitPreference {
-            preference: pref.clone(),
+        self.commit(WalRecord::SubmitPreference {
+            preference: pref,
             now,
-        };
-        let id = self.submit_preference_inner(pref, now);
-        self.log(record);
-        id
-    }
-
-    fn submit_preference_inner(&mut self, pref: UserPreference, now: Timestamp) -> PreferenceId {
-        let mut stored = pref.clone();
-        stored.id = self.preferences.add(pref);
-        self.finish_preference_intake(stored, now)
+        })
+        .preference()
+        .expect("a submitted preference is always stored")
     }
 
     /// Stores a preference whose id the shard router already allocated:
@@ -877,34 +911,29 @@ impl Tippers {
         pref: UserPreference,
         now: Timestamp,
     ) -> PreferenceId {
-        let record = WalRecord::SubmitPreferenceAssigned {
-            preference: pref.clone(),
+        self.commit(WalRecord::SubmitPreferenceAssigned {
+            preference: pref,
             now,
-        };
-        let id = self.submit_preference_assigned_inner(pref, now);
-        self.log(record);
-        id
+        })
+        .preference()
+        .expect("a submitted preference is always stored")
     }
 
-    fn submit_preference_assigned_inner(
+    /// Stores a preference under `id`, conflict-checks it against every
+    /// policy and queues the notifications (§III.B).
+    fn intake_preference(
         &mut self,
         pref: UserPreference,
+        id: PreferenceId,
         now: Timestamp,
-    ) -> PreferenceId {
-        let stored = pref.clone();
-        self.preferences.insert_assigned(pref);
-        self.finish_preference_intake(stored, now)
-    }
-
-    /// Conflict-checks a just-stored preference against every policy and
-    /// queues the notifications (§III.B). Returns the stored id.
-    fn finish_preference_intake(&mut self, stored: UserPreference, now: Timestamp) -> PreferenceId {
-        let user = stored.user;
-        self.enforcer = None;
+    ) -> Change {
+        let user = pref.user;
+        self.preferences.insert(pref, id);
+        let stored = self.preferences.all().last().expect("just stored");
         for policy in self.policies.all() {
             if let Some(conflict) = conflict::classify(
                 policy,
-                &stored,
+                stored,
                 &self.ontology,
                 &self.model,
                 self.config.strategy,
@@ -912,7 +941,7 @@ impl Tippers {
                 self.audit.notify(user, now, conflict.notice.clone());
             }
         }
-        stored.id
+        Change::Preference(id)
     }
 
     /// Applies an IoTA setting choice against a policy's advertised
@@ -928,35 +957,13 @@ impl Tippers {
         setting_key: &str,
         option_index: usize,
     ) -> Result<PreferenceId, SettingsError> {
-        let id = self.apply_setting_choice_inner(user, policy, setting_key, option_index)?;
-        self.log(WalRecord::SettingChoice {
+        self.commit(WalRecord::SettingChoice {
             user,
             policy,
-            setting_key: setting_key.to_string(),
+            setting_key: setting_key.to_owned(),
             option_index,
-        });
-        Ok(id)
-    }
-
-    fn apply_setting_choice_inner(
-        &mut self,
-        user: UserId,
-        policy: PolicyId,
-        setting_key: &str,
-        option_index: usize,
-    ) -> Result<PreferenceId, SettingsError> {
-        let policy = self
-            .policies
-            .get(policy)
-            .ok_or_else(|| SettingsError::UnknownSetting {
-                key: format!("{policy}"),
-            })?
-            .clone();
-        self.enforcer = None;
-        let (id, _) =
-            self.preferences
-                .apply_setting_choice(user, &policy, setting_key, option_index)?;
-        Ok(id)
+        })
+        .preference()
     }
 
     /// [`Tippers::apply_setting_choice`], with a router-assigned id for
@@ -973,42 +980,38 @@ impl Tippers {
         option_index: usize,
         id: PreferenceId,
     ) -> Result<PreferenceId, SettingsError> {
-        let got =
-            self.apply_setting_choice_assigned_inner(user, policy, setting_key, option_index, id)?;
-        self.log(WalRecord::SettingChoiceAssigned {
+        self.commit(WalRecord::SettingChoiceAssigned {
             user,
             policy,
-            setting_key: setting_key.to_string(),
+            setting_key: setting_key.to_owned(),
             option_index,
             id,
-        });
-        Ok(got)
+        })
+        .preference()
     }
 
-    fn apply_setting_choice_assigned_inner(
+    /// Stores the preference a setting choice derives under `id`, or
+    /// rejects the choice without changing anything.
+    fn choose_setting(
         &mut self,
         user: UserId,
         policy: PolicyId,
         setting_key: &str,
         option_index: usize,
         id: PreferenceId,
-    ) -> Result<PreferenceId, SettingsError> {
-        let policy = self
-            .policies
-            .get(policy)
-            .ok_or_else(|| SettingsError::UnknownSetting {
+    ) -> Change {
+        let Some(policy) = self.policies.get(policy) else {
+            return Change::Rejected(SettingsError::UnknownSetting {
                 key: format!("{policy}"),
-            })?
-            .clone();
-        self.enforcer = None;
-        let (id, _) = self.preferences.apply_setting_choice_assigned(
-            user,
-            &policy,
-            setting_key,
-            option_index,
-            id,
-        )?;
-        Ok(id)
+            });
+        };
+        match self
+            .preferences
+            .apply_setting_choice(user, policy, setting_key, option_index, id)
+        {
+            Ok((id, _)) => Change::Preference(id),
+            Err(e) => Change::Rejected(e),
+        }
     }
 
     /// All stored preferences.
@@ -1024,29 +1027,23 @@ impl Tippers {
     /// paper's *when* options — enforcement applied to storage after the
     /// fact, not just to future capture and sharing.
     pub fn apply_retroactively(&mut self, pref_id: PreferenceId) -> usize {
-        let purged = self.apply_retroactively_inner(pref_id);
-        if purged > 0 {
-            self.log(WalRecord::Retroactive {
-                preference: pref_id,
-            });
-        }
-        purged
+        self.commit(WalRecord::Retroactive {
+            preference: pref_id,
+        })
+        .rows()
     }
 
-    fn apply_retroactively_inner(&mut self, pref_id: PreferenceId) -> usize {
-        let Some(pref) = self
+    /// Deletes the rows a stored unconditional deny preference covers;
+    /// returns how many.
+    fn retroactive_purge(&mut self, pref_id: PreferenceId) -> usize {
+        let Some((user, category)) = self
             .preferences
             .all()
             .iter()
             .find(|p| p.id == pref_id)
-            .cloned()
+            .filter(|p| p.effect == Effect::Deny && p.scope.condition.is_always())
+            .and_then(|p| Some((p.user, p.scope.data?)))
         else {
-            return 0;
-        };
-        if pref.effect != Effect::Deny || !pref.scope.condition.is_always() {
-            return 0;
-        }
-        let Some(category) = pref.scope.data else {
             return 0;
         };
         // Categories pinned by a mandatory policy stay (resolution:
@@ -1055,7 +1052,7 @@ impl Tippers {
             let pinned = self.policies.all().iter().any(|p| {
                 p.is_required()
                     && conflict::data_overlaps(p.data, category, &self.ontology)
-                    && p.subjects.may_match_user(pref.user)
+                    && p.subjects.may_match_user(user)
             });
             if pinned {
                 return 0;
@@ -1064,8 +1061,7 @@ impl Tippers {
         // Purge the category itself and everything it can be inferred
         // from is NOT purged (raw data may serve other flows); exactly the
         // rows whose own category falls under the preference go.
-        self.store
-            .purge_subject(&self.ontology, pref.user, category)
+        self.store.purge_subject(&self.ontology, user, category)
     }
 
     /// Every (policy, preference) conflict in the current state.
@@ -1115,7 +1111,7 @@ impl Tippers {
         // Ingest is logged *physically*: the record carries the rows that
         // survived enforcement and fault injection, so replay is a pure
         // data load independent of sensor state or the fault plan.
-        let mut batch: Vec<StoredRow> = Vec::new();
+        let mut rows: Vec<StoredRow> = Vec::new();
         for (index, obs) in observations.iter().enumerate() {
             self.sensors.observe(obs);
             if !owned(index) {
@@ -1131,7 +1127,7 @@ impl Tippers {
                         self.store_write_failures += 1;
                         dropped += 1;
                     } else {
-                        let row = StoredRow {
+                        rows.push(StoredRow {
                             observation: obs.clone(),
                             category,
                             policy: retention.0,
@@ -1139,38 +1135,30 @@ impl Tippers {
                             expires_at: retention
                                 .1
                                 .map(|secs| Timestamp(obs.timestamp.seconds() + secs)),
-                        };
-                        if self.wal.is_some() {
-                            batch.push(row.clone());
-                        }
-                        self.store.insert_row(row);
+                        });
                         stored += 1;
                     }
                 }
                 None => dropped += 1,
             }
         }
-        if !batch.is_empty() {
-            self.log(WalRecord::Ingest { rows: batch });
-        }
+        self.commit(WalRecord::Ingest { rows });
         (stored, dropped)
     }
 
     /// Finds the authorizing policy for storing one observation. Returns
     /// the policy id and its retention (seconds), or `None` to drop.
     fn storage_grant(
-        &mut self,
+        &self,
         obs: &Observation,
         category: ConceptId,
     ) -> Option<(PolicyId, Option<i64>)> {
         let mut grant: Option<(PolicyId, Option<i64>)> = None;
-        let candidates: Vec<BuildingPolicy> = self
+        let candidates = self
             .policies
             .all()
             .iter()
-            .filter(|p| p.actions.contains(DataAction::Store))
-            .cloned()
-            .collect();
+            .filter(|p| p.actions.contains(DataAction::Store));
         for policy in candidates {
             let applies_space = self.model.contains(policy.space, obs.space);
             if !applies_space {
@@ -1338,23 +1326,25 @@ impl Tippers {
         // Group commit: one fsync for the whole chunk sequence. A commit
         // whose durability cannot be proven (fsync stall, append failure)
         // makes the batch unadmitted — rows are dropped and audited, never
-        // stored on an unproven log.
+        // stored on an unproven log. The log goes first; the records are
+        // applied only once it holds them.
+        let stored = rows.len();
         let batch_max = pipeline.config().batch_max.max(1);
+        let mut rows = rows.into_iter().peekable();
+        let mut records: Vec<WalRecord> = Vec::new();
+        while rows.peek().is_some() {
+            records.push(WalRecord::Ingest {
+                rows: rows.by_ref().take(batch_max).collect(),
+            });
+        }
         report.synced = true;
-        if let Some(wal) = self.wal.as_mut().filter(|_| !rows.is_empty()) {
-            let records: Vec<WalRecord> = rows
-                .chunks(batch_max)
-                .map(|chunk| WalRecord::Ingest {
-                    rows: chunk.to_vec(),
-                })
-                .collect();
+        if let Some(wal) = self.wal.as_mut().filter(|_| !records.is_empty()) {
             let plan = self.config.fault_plan.clone();
-            let outcome = wal.append_batch(&records, &plan);
-            match outcome {
+            match wal.append_batch(&records, &plan) {
                 Ok(commit) if commit.synced => {
                     pipeline.note_group_commit();
                     if let Some(tap) = self.record_tap.as_mut() {
-                        tap.extend(records);
+                        tap.extend(records.iter().cloned());
                     }
                 }
                 Ok(_) => report.synced = false,
@@ -1365,19 +1355,23 @@ impl Tippers {
             }
         }
         if report.synced {
-            report.stored = rows.len();
-            pipeline.note_stored(rows.len() as u64);
-            for row in rows {
-                self.store.insert_row(row);
+            report.stored = stored;
+            pipeline.note_stored(stored as u64);
+            for record in records {
+                self.apply(record).expect("ingest records always apply");
             }
         } else {
-            report.unadmitted = rows.len();
-            for row in &rows {
-                pipeline.note_drop(
-                    &row.observation,
-                    row.category,
-                    CaptureDropReason::DurabilityLost,
-                );
+            report.unadmitted = stored;
+            for record in &records {
+                if let WalRecord::Ingest { rows } = record {
+                    for row in rows {
+                        pipeline.note_drop(
+                            &row.observation,
+                            row.category,
+                            CaptureDropReason::DurabilityLost,
+                        );
+                    }
+                }
             }
         }
         self.ingest = Some(pipeline);
@@ -1426,11 +1420,7 @@ impl Tippers {
     /// [`WalRecord::Gc`] with no begin/commit bracket and no certificate.
     /// The provable path is [`Tippers::sweep`].
     pub fn gc(&mut self, now: Timestamp) -> usize {
-        let removed = self.store.gc(now);
-        if removed > 0 {
-            self.log(WalRecord::Gc { now });
-        }
-        removed
+        self.commit(WalRecord::Gc { now }).rows()
     }
 
     // ---- enforced retention (provable deletion) ------------------------------
@@ -1446,24 +1436,14 @@ impl Tippers {
     pub fn sweep(&mut self, now: Timestamp) -> usize {
         self.finish_pending_sweep();
         self.last_sweep_at = Some(now);
-        let rows = self.store.gc_collect(now);
+        let rows = self.store.expired(now);
         if rows.is_empty() {
             return 0;
         }
         let id = self.next_sweep_id;
-        self.next_sweep_id += 1;
         let count = rows.len();
-        self.log(WalRecord::SweepBegin { id, now });
-        self.log(WalRecord::SweepDelete {
-            id,
-            rows: rows.clone(),
-        });
-        self.pending_sweep = Some(PendingSweep {
-            id,
-            now,
-            rows,
-            deleted_logged: true,
-        });
+        self.commit(WalRecord::SweepBegin { id, now });
+        self.commit(WalRecord::SweepDelete { id, rows });
         if self.config.fault_plan.should_fail(FaultPoint::SweepCrash) {
             // Injected crash window: the commit record never lands. The
             // pending sweep stays open for recovery (or the next sweep)
@@ -1509,37 +1489,26 @@ impl Tippers {
         };
         if !pending.deleted_logged {
             let (id, now) = (pending.id, pending.now);
-            let rows = self.store.gc_collect(now);
-            if let Some(p) = self.pending_sweep.as_mut() {
-                p.rows = rows.clone();
-                p.deleted_logged = true;
-            }
-            self.log(WalRecord::SweepDelete { id, rows });
+            let rows = self.store.expired(now);
+            self.commit(WalRecord::SweepDelete { id, rows });
         }
         self.commit_pending_sweep();
     }
 
-    /// Commits the pending sweep: derives the deletion digest, records
-    /// and journals the certificate, and logs [`WalRecord::SweepCommit`].
+    /// Commits the pending sweep: derives the deletion digest and
+    /// commits [`WalRecord::SweepCommit`], which records and journals the
+    /// certificate.
     fn commit_pending_sweep(&mut self) {
-        let Some(pending) = self.pending_sweep.take() else {
+        let Some(pending) = self.pending_sweep.as_ref() else {
             return;
         };
-        let digest = deletion_digest(pending.id, pending.now, &pending.rows);
-        let certificate = DeletionCertificate {
-            sweep: pending.id,
-            time: pending.now,
-            rows: pending.rows.len() as u64,
-            digest: digest.clone(),
-        };
-        self.journal_deletion(&certificate);
-        self.audit.certify(certificate);
-        self.log(WalRecord::SweepCommit {
+        let record = WalRecord::SweepCommit {
             id: pending.id,
             now: pending.now,
             rows: pending.rows.len() as u64,
-            digest,
-        });
+            digest: deletion_digest(pending.id, pending.now, &pending.rows),
+        };
+        self.commit(record);
     }
 
     /// All deletion certificates, oldest first.
@@ -1671,10 +1640,8 @@ impl Tippers {
             self.quota_charge_drops += 1;
             return EnforcementDecision::quota_exceeded();
         }
-        self.quotas
-            .charge(user, &request.service, request.purpose, now, config);
         let failures_before = self.wal_append_failures;
-        self.log(WalRecord::QuotaCharge {
+        self.commit(WalRecord::QuotaCharge {
             user,
             service: request.service.clone(),
             purpose: request.purpose,
@@ -2209,19 +2176,12 @@ impl Tippers {
                 .mark_degraded("enforcement engine rebuild failed; failing closed");
             return;
         }
-        let policies = self.policies.all().to_vec();
-        let prefs = self.preferences.all().to_vec();
-        self.enforcer = Some(match self.config.enforcer {
-            EnforcerKind::Naive => {
-                EnforcerImpl::Naive(NaiveEnforcer::new(policies, prefs, self.config.strategy))
-            }
-            EnforcerKind::Indexed => EnforcerImpl::Indexed(IndexedEnforcer::new(
-                policies,
-                prefs,
-                self.config.strategy,
-                &self.ontology,
-            )),
-        });
+        self.enforcer = Some(IndexedEnforcer::new(
+            self.policies.all().to_vec(),
+            self.preferences.all().to_vec(),
+            self.config.strategy,
+            &self.ontology,
+        ));
         self.health.mark_recovered();
     }
 }

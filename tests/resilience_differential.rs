@@ -585,3 +585,67 @@ fn degraded_aggregates_exclude_everyone_and_say_so() {
             || after.buckets.iter().any(|b| b.count.is_some())
     );
 }
+
+/// A mutation that changes nothing keeps the enforcement engine: removing
+/// an absent policy and choosing an option a setting does not offer leave
+/// the policies and preferences as they were, so with every rebuild
+/// failing the next request is still decided, not failed closed.
+#[test]
+fn no_op_mutations_keep_the_enforcement_engine() {
+    use tippers::SettingsError;
+    use tippers_policy::BuildingPolicy;
+
+    let ontology = Ontology::standard();
+    let c = ontology.concepts().clone();
+    let building = dbh();
+    let plan = FaultPlan::seeded(fault_seed());
+    let mut bms = Tippers::new(
+        ontology.clone(),
+        building.model.clone(),
+        TippersConfig {
+            fault_plan: plan.clone(),
+            ..TippersConfig::default()
+        },
+    );
+    let policy = bms.add_policy(
+        catalog::policy2_emergency_location(PolicyId(0), building.building, &ontology)
+            .with_setting(BuildingPolicy::location_setting()),
+    );
+    let user = UserId(1);
+    bms.submit_preference(
+        catalog::preference2_no_location(PreferenceId(0), user, &ontology),
+        Timestamp::at(0, 8, 0),
+    );
+    let request = DataRequest {
+        service: catalog::services::emergency(),
+        purpose: c.emergency_response,
+        data: c.location_room,
+        subjects: SubjectSelector::One(user),
+        from: Timestamp::at(0, 0, 0),
+        to: Timestamp::at(1, 0, 0),
+        requester_space: None,
+        priority: Default::default(),
+        deadline: None,
+    };
+    let now = Timestamp::at(0, 12, 0);
+    // The first request builds the engine; every rebuild fails from here.
+    let before = bms.handle_request(&request, now);
+    assert!(!before.degraded);
+    plan.arm(FaultPoint::EnforcerBuild, 1.0);
+
+    assert!(!bms.remove_policy(PolicyId(999)), "no such policy");
+    assert!(matches!(
+        bms.apply_setting_choice(user, policy, "location-sensing", 99),
+        Err(SettingsError::InvalidOption { .. })
+    ));
+
+    let after = bms.handle_request(&request, now);
+    assert!(!after.degraded, "a no-op mutation dropped the engine");
+    assert_eq!(after.results[0].decision, before.results[0].decision);
+    assert_ne!(
+        after.results[0].decision.basis,
+        DecisionBasis::InternalError
+    );
+    assert_eq!(plan.injected(FaultPoint::EnforcerBuild), 0);
+    assert_eq!(bms.health(), HealthStatus::Healthy);
+}

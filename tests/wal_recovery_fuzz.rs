@@ -165,6 +165,20 @@ fn crash_after_every_record_boundary_recovers_exact_prefix_state() {
     assert!(fx.mutations.len() >= 200, "acceptance floor: 200 mutations");
     let (copies, expected) = run_workload(&fx);
 
+    // The crashes straddle setting choices: an accepted choice appends a
+    // record, a rejected one appends nothing.
+    let appended: Vec<bool> = fx
+        .mutations
+        .iter()
+        .enumerate()
+        .filter(|(_, m)| matches!(m, Mutation::SettingChoice { .. }))
+        .map(|(i, _)| total_bytes(&copies[i + 1]) > total_bytes(&copies[i]))
+        .collect();
+    assert!(
+        appended.contains(&true) && appended.contains(&false),
+        "setting choices: {appended:?}"
+    );
+
     for (i, (copy, want)) in copies.iter().zip(&expected).enumerate() {
         // Every append is synced before the mutation returns, so a crash
         // here loses nothing — and recovery must prove it.
