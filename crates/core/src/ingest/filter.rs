@@ -16,8 +16,9 @@ use tippers_spatial::{SpaceId, SpatialModel};
 use crate::sensor_manager::SensorManager;
 
 /// The capture-path degradation ladder, in escalation order. The rung a
-/// zone runs at is keyed to its ingest mailbox's fill ratio; Emergency
-/// (essential) zones always run at [`LadderRung::FullFidelity`].
+/// zone runs at is keyed to the share of its per-call admission bound it
+/// filled; Emergency (essential) zones always run at
+/// [`LadderRung::FullFidelity`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LadderRung {
     /// Everything the filter admits is stored as captured.
@@ -29,8 +30,9 @@ pub enum LadderRung {
     /// Only essential categories (occupancy, ambient temperature) are
     /// stored; identity- and location-bearing captures are suppressed.
     SuppressNonEssential,
-    /// The mailbox is full: new captures are rejected with an audited
-    /// drop and backpressure is handed to the sensor link.
+    /// The admission bound is reached: further captures are rejected
+    /// with an audited drop and backpressure is handed to the sensor
+    /// link.
     RejectWithAudit,
 }
 

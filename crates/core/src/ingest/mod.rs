@@ -3,18 +3,21 @@
 //!
 //! The paper's enforcement mapping (§IV.B) places enforcement not only at
 //! request time but at *capture* and *storage* time, at sensor-event
-//! rates. This module is that pipeline:
+//! rates. This module holds the capture pipeline's pieces; the one loop
+//! that runs them is `Tippers::capture`, behind every ingest entry point:
 //!
 //! ```text
-//!  sensor links ──▶ per-zone CaptureFilter ──▶ bounded per-zone mailboxes
-//!       ▲                (suppress MACs)            │ (backpressure when full)
-//!       │ rejected observations                     ▼ drained in capture order
-//!       └────────────────────────────── degradation ladder ──▶ storage grant
-//!                                                              │
-//!                                        WAL group commit ◀────┘ (one fsync
-//!                                        │ per batch of records)
-//!                                        ▼ synced? ── no ─▶ drop-and-audit
-//!                                      store inserts          (fail closed)
+//!  sensor links ──▶ per-zone admission bound ──▶ per-zone CaptureFilter
+//!       ▲             (per call, input order)        (suppress MACs)
+//!       │ rejected observations                          │
+//!       └──────────────────── degradation ladder ◀───────┘
+//!                                    │
+//!                              storage grant
+//!                                    │
+//!          WAL group commit ◀────────┘ (one fsync per call)
+//!          │
+//!          ▼ synced? ── no ─▶ drop-and-audit (fail closed)
+//!        store inserts + replication tap
 //! ```
 //!
 //! Under overload each zone degrades along an explicit ladder
@@ -33,24 +36,24 @@ use std::collections::BTreeMap;
 
 use tippers_ontology::ConceptId;
 use tippers_policy::{Timestamp, UserId};
-use tippers_resilience::{Mailbox, MailboxStats, PushError};
 use tippers_sensors::Observation;
 use tippers_spatial::{SpaceId, SpatialModel};
 
-/// Configuration for the batched ingest pipeline
-/// ([`crate::Tippers::ingest_batched`]).
+/// Configuration of the capture pipeline ([`crate::TippersConfig::ingest`]).
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
-    /// Per-zone mailbox bound; a full mailbox rejects with backpressure.
+    /// Per-zone admission bound of one ingest call: a zone admits its
+    /// first `mailbox_capacity` observations, in input order, and hands
+    /// the rest back with backpressure.
     pub mailbox_capacity: usize,
     /// Maximum rows per group-committed WAL record (one
     /// [`crate::WalRecord::Ingest`] per chunk; the whole chunk sequence
     /// shares one fsync).
     pub batch_max: usize,
-    /// Mailbox fill ratio at which a zone coarsens at capture.
+    /// Admitted share of the bound at which a zone coarsens at capture.
     pub coarsen_watermark: f64,
-    /// Mailbox fill ratio at which a zone suppresses non-essential
-    /// categories.
+    /// Admitted share of the bound at which a zone suppresses
+    /// non-essential categories.
     pub suppress_watermark: f64,
 }
 
@@ -69,7 +72,8 @@ impl Default for IngestConfig {
 /// *audited* outcome — the pipeline never loses an observation silently.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CaptureDropReason {
-    /// The zone's mailbox was full; backpressure was handed to the link.
+    /// The zone's admission bound was reached; backpressure was handed
+    /// to the link.
     Backpressure,
     /// The capture filter forbids storing this MAC at all.
     CaptureFilter,
@@ -103,7 +107,7 @@ pub struct CaptureDrop {
 /// Lifetime counters of the ingest pipeline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestStats {
-    /// Observations admitted into a mailbox.
+    /// Observations admitted under the per-zone bound.
     pub admitted: u64,
     /// Observations rejected at admission (backpressure).
     pub rejected: u64,
@@ -164,95 +168,85 @@ impl IngestReport {
     }
 }
 
-/// The stateful half of the batched ingest path: bounded per-zone
-/// mailboxes, the drop-audit trail, and lifetime counters. Owned by
-/// [`crate::Tippers`] when [`crate::TippersConfig::ingest`] is set.
-#[derive(Debug, Clone)]
-pub struct IngestPipeline {
+/// The capture pipeline's lifetime state: its configuration, counters
+/// and the drop-audit trail. Owned by [`crate::Tippers`] when
+/// [`crate::TippersConfig::ingest`] is set.
+#[derive(Debug)]
+pub(crate) struct IngestPipeline {
     config: IngestConfig,
-    /// Per-zone bounded mailboxes; `BTreeMap` so drain order (and thus
-    /// every downstream effect) is deterministic.
-    mailboxes: BTreeMap<SpaceId, Mailbox<(u64, Observation)>>,
-    /// Global admission sequence, restoring capture order across zones.
-    seq: u64,
     stats: IngestStats,
     drops: Vec<CaptureDrop>,
 }
 
 impl IngestPipeline {
-    /// An empty pipeline.
-    pub fn new(config: IngestConfig) -> IngestPipeline {
+    /// A pipeline that has seen nothing.
+    pub(crate) fn new(config: IngestConfig) -> IngestPipeline {
         IngestPipeline {
             config,
-            mailboxes: BTreeMap::new(),
-            seq: 0,
             stats: IngestStats::default(),
             drops: Vec::new(),
         }
     }
 
-    /// The configured bounds and watermarks.
-    pub fn config(&self) -> &IngestConfig {
-        &self.config
+    /// Maximum rows per group-committed record.
+    pub(crate) fn batch_max(&self) -> usize {
+        self.config.batch_max.max(1)
     }
 
-    /// Offers one observation to its zone's mailbox. On backpressure the
-    /// observation is handed back for the producer to retry or drop.
-    pub(crate) fn admit(&mut self, now_ms: i64, obs: Observation) -> Result<(), Observation> {
-        let capacity = self.config.mailbox_capacity.max(1);
-        let mailbox = self
-            .mailboxes
-            .entry(obs.space)
-            .or_insert_with(|| Mailbox::new(capacity));
-        let seq = self.seq;
-        match mailbox.try_push(now_ms, None, (seq, obs)) {
-            Ok(()) => {
-                self.seq += 1;
-                self.stats.admitted += 1;
-                Ok(())
-            }
-            Err(PushError::Full((_, obs))) => {
-                self.stats.rejected += 1;
-                Err(obs)
-            }
-        }
-    }
-
-    /// Drains every mailbox, tagging each observation with the rung its
-    /// zone ran at (sampled at drain start) — essential zones are pinned
-    /// to full fidelity. Returned in admission order.
-    pub(crate) fn drain(
+    /// Admits one call's owned observations. In each zone the first
+    /// `mailbox_capacity`, in input order, are admitted and the rest are
+    /// handed back. A zone's rung is its admitted count over the
+    /// capacity, read against the watermarks; essential zones stay at
+    /// full fidelity. Returns each observation's rung, `None` when it was
+    /// handed back. Observations the caller does not own are neither
+    /// counted nor bounded.
+    pub(crate) fn admit(
         &mut self,
-        now_ms: i64,
+        observations: &[Observation],
+        owned: impl Fn(usize) -> bool,
         model: &SpatialModel,
         filter: &CaptureFilter,
-    ) -> Vec<(LadderRung, Observation)> {
-        let coarsen_at = self.config.coarsen_watermark;
-        let suppress_at = self.config.suppress_watermark;
-        let mut out: Vec<(u64, LadderRung, Observation)> = Vec::new();
-        for (&zone, mailbox) in &mut self.mailboxes {
-            let rung = if filter.essential_zone(model, zone) {
-                LadderRung::FullFidelity
-            } else {
-                #[allow(clippy::cast_precision_loss)]
-                let ratio = mailbox.depth() as f64 / mailbox.capacity().max(1) as f64;
-                if ratio >= suppress_at {
-                    LadderRung::SuppressNonEssential
-                } else if ratio >= coarsen_at {
-                    LadderRung::CoarsenAtCapture
-                } else {
-                    LadderRung::FullFidelity
+    ) -> Vec<Option<LadderRung>> {
+        let capacity = self.config.mailbox_capacity.max(1);
+        // Per zone: observations offered, then the zone's rung.
+        let mut zones: BTreeMap<SpaceId, (usize, LadderRung)> = BTreeMap::new();
+        let mut admitted: Vec<Option<LadderRung>> = observations
+            .iter()
+            .enumerate()
+            .map(|(index, obs)| {
+                if !owned(index) {
+                    return Some(LadderRung::FullFidelity);
                 }
-            };
-            while let Some((seq, obs)) = mailbox.pop(now_ms) {
-                out.push((seq, rung, obs));
+                let (offered, _) = zones
+                    .entry(obs.space)
+                    .or_insert((0, LadderRung::FullFidelity));
+                *offered += 1;
+                (*offered <= capacity).then_some(LadderRung::FullFidelity)
+            })
+            .collect();
+        for (&zone, (offered, rung)) in &mut zones {
+            let accepted = (*offered).min(capacity);
+            #[allow(clippy::cast_precision_loss)]
+            let ratio = accepted as f64 / capacity as f64;
+            if filter.essential_zone(model, zone) {
+                *rung = LadderRung::FullFidelity;
+            } else if ratio >= self.config.suppress_watermark {
+                *rung = LadderRung::SuppressNonEssential;
+            } else if ratio >= self.config.coarsen_watermark {
+                *rung = LadderRung::CoarsenAtCapture;
+            }
+            let rejected = (*offered - accepted) as u64;
+            self.stats.admitted += accepted as u64;
+            self.stats.rejected += rejected;
+            self.stats.rung_observations[rung.index()] += accepted as u64;
+            self.stats.rung_observations[LadderRung::RejectWithAudit.index()] += rejected;
+        }
+        for (index, (rung, obs)) in admitted.iter_mut().zip(observations).enumerate() {
+            if let Some(rung) = rung.as_mut().filter(|_| owned(index)) {
+                *rung = zones[&obs.space].1;
             }
         }
-        out.sort_by_key(|&(seq, _, _)| seq);
-        for &(_, rung, _) in &out {
-            self.stats.rung_observations[rung.index()] += 1;
-        }
-        out.into_iter().map(|(_, rung, obs)| (rung, obs)).collect()
+        admitted
     }
 
     /// Records an audited drop.
@@ -262,15 +256,6 @@ impl IngestPipeline {
         category: ConceptId,
         reason: CaptureDropReason,
     ) {
-        match reason {
-            CaptureDropReason::Backpressure => {
-                self.stats.rung_observations[LadderRung::RejectWithAudit.index()] += 1;
-            }
-            CaptureDropReason::Degraded => self.stats.suppressed += 1,
-            CaptureDropReason::Unauthorized => self.stats.unauthorized += 1,
-            CaptureDropReason::DurabilityLost => self.stats.unadmitted += 1,
-            CaptureDropReason::CaptureFilter | CaptureDropReason::StoreFault => {}
-        }
         self.drops.push(CaptureDrop {
             time: obs.timestamp,
             zone: obs.space,
@@ -280,43 +265,25 @@ impl IngestPipeline {
         });
     }
 
-    pub(crate) fn note_coarsened(&mut self) {
-        self.stats.coarsened += 1;
-    }
-
-    pub(crate) fn note_stored(&mut self, rows: u64) {
-        self.stats.stored += rows;
-    }
-
-    pub(crate) fn note_group_commit(&mut self) {
-        self.stats.group_commits += 1;
+    /// Folds one call's outcome past admission into the lifetime
+    /// counters; `group_committed` when its rows shared a synced fsync.
+    pub(crate) fn tally(&mut self, report: &IngestReport, group_committed: bool) {
+        self.stats.stored += report.stored as u64;
+        self.stats.coarsened += report.coarsened as u64;
+        self.stats.suppressed += report.suppressed as u64;
+        self.stats.unauthorized += report.unauthorized as u64;
+        self.stats.unadmitted += report.unadmitted as u64;
+        self.stats.group_commits += u64::from(group_committed);
     }
 
     /// Lifetime counters.
-    pub fn stats(&self) -> IngestStats {
+    pub(crate) fn stats(&self) -> IngestStats {
         self.stats
     }
 
     /// The audited drop trail.
-    pub fn drops(&self) -> &[CaptureDrop] {
+    pub(crate) fn drops(&self) -> &[CaptureDrop] {
         &self.drops
-    }
-
-    /// Per-zone mailbox statistics, in zone order.
-    pub fn mailbox_stats(&self) -> Vec<(SpaceId, MailboxStats)> {
-        self.mailboxes
-            .iter()
-            .map(|(&zone, mb)| (zone, mb.stats()))
-            .collect()
-    }
-
-    /// The deepest any zone's mailbox currently is.
-    pub fn max_depth(&self) -> usize {
-        self.mailboxes
-            .values()
-            .map(Mailbox::depth)
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -336,6 +303,10 @@ mod tests {
         }
     }
 
+    fn admitted(rungs: &[Option<LadderRung>]) -> Vec<bool> {
+        rungs.iter().map(Option::is_some).collect()
+    }
+
     #[test]
     fn admission_is_bounded_per_zone_and_hands_back_overflow() {
         let d = dbh();
@@ -343,25 +314,42 @@ mod tests {
             mailbox_capacity: 2,
             ..IngestConfig::default()
         });
-        assert!(p.admit(0, obs(d.offices[0], 0)).is_ok());
-        assert!(p.admit(0, obs(d.offices[0], 1)).is_ok());
-        // Third into the same zone bounces; a different zone still admits.
-        assert!(p.admit(0, obs(d.offices[0], 2)).is_err());
-        assert!(p.admit(0, obs(d.offices[1], 3)).is_ok());
+        let batch = [
+            obs(d.offices[0], 0),
+            obs(d.offices[0], 1),
+            // Third into the same zone bounces; a different zone still admits.
+            obs(d.offices[0], 2),
+            obs(d.offices[1], 3),
+        ];
+        let admission = p.admit(&batch, |_| true, &d.model, &CaptureFilter::default());
+        assert_eq!(admitted(&admission), [true, true, false, true]);
         assert_eq!(p.stats().admitted, 3);
         assert_eq!(p.stats().rejected, 1);
+        // The bound is per call: the next call admits afresh.
+        let admission = p.admit(&batch[..2], |_| true, &d.model, &CaptureFilter::default());
+        assert_eq!(admitted(&admission), [true, true]);
+        assert_eq!(p.stats().admitted, 5);
     }
 
     #[test]
-    fn drain_restores_admission_order_across_zones() {
+    fn admission_keeps_the_first_of_each_zone_in_input_order() {
         let d = dbh();
-        let mut p = IngestPipeline::new(IngestConfig::default());
-        p.admit(0, obs(d.offices[1], 10)).unwrap();
-        p.admit(0, obs(d.offices[0], 11)).unwrap();
-        p.admit(0, obs(d.offices[1], 12)).unwrap();
-        let drained = p.drain(0, &d.model, &CaptureFilter::default());
-        let times: Vec<i64> = drained.iter().map(|(_, o)| o.timestamp.seconds()).collect();
-        assert_eq!(times, vec![10, 11, 12]);
+        let mut p = IngestPipeline::new(IngestConfig {
+            mailbox_capacity: 1,
+            ..IngestConfig::default()
+        });
+        let batch = [
+            obs(d.offices[1], 10),
+            obs(d.offices[0], 11),
+            obs(d.offices[1], 12),
+            obs(d.offices[0], 13),
+        ];
+        let admission = p.admit(&batch, |_| true, &d.model, &CaptureFilter::default());
+        assert_eq!(admitted(&admission), [true, true, false, false]);
+        // Observations the caller does not own are neither counted nor
+        // bounded.
+        let admission = p.admit(&batch, |i| i >= 2, &d.model, &CaptureFilter::default());
+        assert_eq!(admitted(&admission), [true, true, true, true]);
     }
 
     #[test]
@@ -373,14 +361,17 @@ mod tests {
             suppress_watermark: 0.8,
             ..IngestConfig::default()
         });
-        for i in 0..9 {
-            p.admit(0, obs(d.offices[0], i)).unwrap();
-        }
-        let drained = p.drain(0, &d.model, &CaptureFilter::default());
-        assert!(drained
+        let batch: Vec<Observation> = (0..9).map(|i| obs(d.offices[0], i)).collect();
+        let admission = p.admit(&batch, |_| true, &d.model, &CaptureFilter::default());
+        assert!(admission
             .iter()
-            .all(|&(rung, _)| rung == LadderRung::SuppressNonEssential));
-        // The same depth in an essential zone is not degraded.
+            .all(|&r| r == Some(LadderRung::SuppressNonEssential)));
+        let admission = p.admit(&batch[..5], |_| true, &d.model, &CaptureFilter::default());
+        assert!(admission
+            .iter()
+            .all(|&r| r == Some(LadderRung::CoarsenAtCapture)));
+        assert_eq!(p.stats().rung_observations, [0, 5, 9, 0]);
+        // The same count in an essential zone is not degraded.
         let ont = tippers_ontology::Ontology::standard();
         let policy = tippers_policy::catalog::policy2_emergency_location(
             tippers_policy::PolicyId(0),
@@ -388,12 +379,9 @@ mod tests {
             &ont,
         );
         let filter = CaptureFilter::derive(&ont, &[policy], &[], &std::collections::HashMap::new());
-        for i in 0..9 {
-            p.admit(0, obs(d.offices[0], i)).unwrap();
-        }
-        let drained = p.drain(0, &d.model, &filter);
-        assert!(drained
+        let admission = p.admit(&batch, |_| true, &d.model, &filter);
+        assert!(admission
             .iter()
-            .all(|&(rung, _)| rung == LadderRung::FullFidelity));
+            .all(|&r| r == Some(LadderRung::FullFidelity)));
     }
 }

@@ -73,8 +73,8 @@ pub use enforce::{
     RequestFlow,
 };
 pub use ingest::{
-    CaptureDrop, CaptureDropReason, CaptureFilter, IngestConfig, IngestPipeline, IngestReport,
-    IngestStats, LadderRung,
+    CaptureDrop, CaptureDropReason, CaptureFilter, IngestConfig, IngestReport, IngestStats,
+    LadderRung,
 };
 pub use policy_manager::PolicyManager;
 pub use preference_manager::{PreferenceManager, SettingsError};

@@ -20,6 +20,7 @@ use super::link::{Ack, Frame, ReplicationLink};
 use super::node::Node;
 use super::settings::{divergent_choices, resolve, MergeWinner, VersionedChoice};
 use crate::audit::AuditLog;
+use crate::enforce::EnforcementDecision;
 use crate::request::{DataRequest, DataResponse};
 use crate::snapshot::Snapshot;
 use crate::tippers::{Tippers, TippersConfig};
@@ -248,39 +249,10 @@ impl Cluster {
         node: usize,
         mutate: impl FnOnce(&mut Tippers),
     ) -> Result<WriteOutcome, WalError> {
-        if self.nodes[node].down {
-            return Ok(WriteOutcome::Unavailable);
-        }
-        if !self.nodes[node].is_leader || self.nodes[node].fenced || self.nodes[node].diverged {
-            self.nodes[node].split_brain_writes += 1;
-            self.split_brain_rejections += 1;
-            return Ok(WriteOutcome::Fenced {
-                epoch: self.nodes[node].epoch(),
-            });
-        }
-        let epoch = self.nodes[node].epoch();
-        mutate(&mut self.nodes[node].bms);
-        let records = self.nodes[node].bms.drain_record_tap();
-        if records.is_empty() {
-            return Ok(WriteOutcome::NoOp);
-        }
-        for record in records {
-            let index = self.nodes[node].durable_index();
-            let prev_epoch = self.nodes[node].frames.last().map_or(0, |f| f.epoch);
-            self.nodes[node].frames.push(Frame {
-                epoch,
-                prev_epoch,
-                index,
-                record,
-            });
-        }
-        let index = self.nodes[node].durable_index() - 1;
-        self.ship_from(node)?;
-        if self.commit_len(node) > index {
-            Ok(WriteOutcome::Committed { index })
-        } else {
-            Ok(WriteOutcome::Pending { index })
-        }
+        let mut mutate = Some(mutate);
+        self.write_batch_to(node, 1, |bms, _| {
+            (mutate.take().expect("one mutation"))(bms);
+        })
     }
 
     /// Submits a whole *batch* of mutations to `node` as one pipelined
@@ -315,23 +287,13 @@ impl Cluster {
             });
         }
         let epoch = self.nodes[node].epoch();
-        let mut records = Vec::new();
+        let mut framed = 0;
         for i in 0..mutations {
             mutate(&mut self.nodes[node].bms, i);
-            records.extend(self.nodes[node].bms.drain_record_tap());
+            framed += self.nodes[node].frame_tapped(epoch);
         }
-        if records.is_empty() {
+        if framed == 0 {
             return Ok(WriteOutcome::NoOp);
-        }
-        for record in records {
-            let index = self.nodes[node].durable_index();
-            let prev_epoch = self.nodes[node].frames.last().map_or(0, |f| f.epoch);
-            self.nodes[node].frames.push(Frame {
-                epoch,
-                prev_epoch,
-                index,
-                record,
-            });
         }
         let index = self.nodes[node].durable_index() - 1;
         self.ship_from(node)?;
@@ -495,18 +457,7 @@ impl Cluster {
             // converge on the same ledger and store. Shipping is
             // best-effort here — unshipped frames go out with the next
             // write or heartbeat.
-            let records = self.nodes[node].bms.drain_record_tap();
-            if !records.is_empty() {
-                for record in records {
-                    let index = self.nodes[node].durable_index();
-                    let prev_epoch = self.nodes[node].frames.last().map_or(0, |f| f.epoch);
-                    self.nodes[node].frames.push(Frame {
-                        epoch,
-                        prev_epoch,
-                        index,
-                        record,
-                    });
-                }
+            if self.nodes[node].frame_tapped(epoch) > 0 {
                 let _ = self.ship_from(node);
             }
             return Some(response);
@@ -527,7 +478,10 @@ impl Cluster {
             n.bms.set_serve_follower(true);
             Some(n.bms.handle_request(request, now))
         } else {
-            Some(n.bms.stale_response(request, now))
+            Some(
+                n.bms
+                    .deny_all(request, now, EnforcementDecision::stale_replica()),
+            )
         }
     }
 
@@ -612,16 +566,9 @@ impl Cluster {
         // Promotion replays the longest durable prefix: anything buffered
         // out of order is not durable-contiguous and is discarded.
         self.nodes[node].pending.clear();
-        let index = self.nodes[node].durable_index();
         self.nodes[node].bms.commit(WalRecord::NewEpoch { epoch });
-        self.nodes[node].bms.drain_record_tap();
-        let prev_epoch = self.nodes[node].frames.last().map_or(0, |f| f.epoch);
-        self.nodes[node].frames.push(Frame {
-            epoch,
-            prev_epoch,
-            index,
-            record: WalRecord::NewEpoch { epoch },
-        });
+        let framed = self.nodes[node].frame_tapped(epoch);
+        debug_assert_eq!(framed, 1, "a promotion frames exactly its epoch fence");
         self.nodes[node].is_leader = true;
         self.nodes[node].fenced = false;
         self.nodes[node].diverged = false;
@@ -751,16 +698,7 @@ impl Cluster {
         let primary = self.primary;
         let epoch = self.nodes[primary].epoch();
         mutate(&mut self.nodes[primary].bms);
-        for record in self.nodes[primary].bms.drain_record_tap() {
-            let index = self.nodes[primary].durable_index();
-            let prev_epoch = self.nodes[primary].frames.last().map_or(0, |f| f.epoch);
-            self.nodes[primary].frames.push(Frame {
-                epoch,
-                prev_epoch,
-                index,
-                record,
-            });
-        }
+        self.nodes[primary].frame_tapped(epoch);
     }
 
     /// Strictness of the option a choice selects, read from the judging

@@ -110,6 +110,23 @@ impl Node {
         self.frames.len() as u64
     }
 
+    /// Frames every record the BMS logged since the last drain at
+    /// `epoch`, extending the durable prefix; returns how many.
+    pub(super) fn frame_tapped(&mut self, epoch: u64) -> usize {
+        let records = self.bms.drain_record_tap();
+        let framed = records.len();
+        for record in records {
+            let prev_epoch = self.frames.last().map_or(0, |f| f.epoch);
+            self.frames.push(Frame {
+                epoch,
+                prev_epoch,
+                index: self.durable_index(),
+                record,
+            });
+        }
+        framed
+    }
+
     /// Applies one frame: commits it through the BMS (durable + applied)
     /// and appends it to the frame prefix.
     fn apply(&mut self, frame: Frame) -> Result<(), WalError> {

@@ -70,6 +70,10 @@
 //!   answers fail-closed, so a rebuilt shard can carry a quota charge
 //!   for a disclosure that was never released — over-charging, the
 //!   privacy-safe direction.
+//! * With a capture pipeline ([`TippersConfig::ingest`]), each shard
+//!   applies the per-zone admission bound, and derives the ladder rung,
+//!   from its owned observations only; an observation another shard
+//!   rejects under backpressure still feeds this shard's sensor state.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -367,56 +371,11 @@ impl ShardedTippers {
         config: TippersConfig,
         spec: ShardSpec,
     ) -> ShardedTippers {
-        assert!(
-            spec.shards > 0,
-            "a sharded runtime needs at least one shard"
-        );
-        let router = spec.router();
-        let mut slots = Vec::with_capacity(spec.shards);
-        for _ in 0..spec.shards {
-            let log = MemLog::new();
-            let fence = WriterFence::new();
-            let (bms, _report) = Tippers::open_with(
-                Box::new(fence.handle(Box::new(log.clone()))),
-                ontology.clone(),
-                model.clone(),
-                config.clone(),
-            )
-            .expect("an empty in-memory log opens cleanly");
-            slots.push(ShardSlot {
-                backing: ShardBacking::Mem(log),
-                fence,
-                worker: Some(spawn_worker(
-                    bms,
-                    config.fault_plan.clone(),
-                    spec.slow_job_ms(),
-                )),
-                catchup: None,
-                health: ShardHealth::Up,
-                pending: Vec::new(),
-                panics: 0,
-                stalls: 0,
-                restarts: 0,
-                restart_losses: 0,
-            });
-        }
-        ShardedTippers {
-            ontology,
-            model,
-            config,
-            spec,
-            router,
-            slots,
-            directory: HashMap::new(),
-            policy_mirror: PolicyManager::new(),
-            next_preference_id: 0,
-            router_audit: AuditLog::new(),
-            vnow_ms: 0,
-            unavailable_denials: 0,
-            unavailable_drops: 0,
-            pending_replayed: 0,
-            recovery_us: Vec::new(),
-        }
+        ShardedTippers::with_backing(ontology, model, config, spec, |_| {
+            ShardBacking::Mem(MemLog::new())
+        })
+        .expect("an empty in-memory log opens cleanly")
+        .0
     }
 
     /// Opens a durable sharded BMS: shard `i` logs to `dir/shard-{i:03}`
@@ -438,6 +397,21 @@ impl ShardedTippers {
         config: TippersConfig,
         spec: ShardSpec,
     ) -> Result<(ShardedTippers, Vec<RecoveryReport>), WalError> {
+        let dir = dir.as_ref();
+        ShardedTippers::with_backing(ontology, model, config, spec, |i| {
+            ShardBacking::Fs(dir.join(format!("shard-{i:03}")))
+        })
+    }
+
+    /// Opens every shard over the partition `backing(i)` names, replays
+    /// it, and rebuilds the router's state from the replayed shards.
+    fn with_backing(
+        ontology: Ontology,
+        model: SpatialModel,
+        config: TippersConfig,
+        spec: ShardSpec,
+        backing: impl Fn(usize) -> ShardBacking,
+    ) -> Result<(ShardedTippers, Vec<RecoveryReport>), WalError> {
         assert!(
             spec.shards > 0,
             "a sharded runtime needs at least one shard"
@@ -448,11 +422,10 @@ impl ShardedTippers {
         let mut policy_mirror = PolicyManager::new();
         let mut next_preference_id = 0u64;
         for i in 0..spec.shards {
-            let sub = dir.as_ref().join(format!("shard-{i:03}"));
+            let backing = backing(i);
             let fence = WriterFence::new();
-            let io = fence.handle(Box::new(FsLog::open(sub.clone())?));
             let (bms, report) = Tippers::open_with(
-                Box::new(io),
+                Box::new(fence.handle(backing.reopen()?)),
                 ontology.clone(),
                 model.clone(),
                 config.clone(),
@@ -470,7 +443,7 @@ impl ShardedTippers {
             }
             next_preference_id = next_preference_id.max(bms.preference_next_id());
             slots.push(ShardSlot {
-                backing: ShardBacking::Fs(sub),
+                backing,
                 fence,
                 worker: Some(spawn_worker(
                     bms,
@@ -1028,10 +1001,10 @@ impl ShardedTippers {
             let owned_count = owners.iter().filter(|&&o| o == idx).count();
             let obs = observations.to_vec();
             let mask: Vec<bool> = owners.iter().map(|&o| o == idx).collect();
-            match self.call(idx, move |bms| bms.ingest_with_mask(&obs, |i| mask[i])) {
-                ShardCall::Ok((s, d)) => {
+            match self.call(idx, move |bms| bms.capture(&obs, |i| mask[i]).stored) {
+                ShardCall::Ok(s) => {
                     stored += s;
-                    dropped += d;
+                    dropped += owned_count - s;
                 }
                 ShardCall::Unavailable => {
                     dropped += owned_count;

@@ -2,6 +2,7 @@
 //! Figure 1, wiring together the policy, preference and sensor managers,
 //! the store, the enforcement engine and the audit log.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -81,9 +82,10 @@ pub struct TippersConfig {
     /// this much virtual time has passed since the last sweep. `None`
     /// (the default) leaves sweeping to explicit calls.
     pub sweep_every_secs: Option<i64>,
-    /// Batched, backpressured capture pipeline
-    /// ([`Tippers::ingest_batched`]). `None` (the default) makes the
-    /// batched entry point fall through to the one-at-a-time path.
+    /// Backpressured capture pipeline: per-zone admission bounds, the
+    /// capture filter and the degradation ladder, on every ingest entry
+    /// point. `None` (the default) admits every observation at full
+    /// fidelity and commits each ingest call as one record.
     pub ingest: Option<IngestConfig>,
 }
 
@@ -239,9 +241,8 @@ pub struct Tippers {
     /// Quota charges whose durable record was dropped — each one rolled
     /// back and the request denied fail-closed.
     quota_charge_drops: u64,
-    /// The batched capture pipeline, when configured: bounded per-zone
-    /// mailboxes, the degradation ladder, and the capture-drop audit
-    /// trail (see [`crate::ingest`]).
+    /// The capture pipeline, when configured: its bounds, counters and
+    /// the capture-drop audit trail (see [`crate::ingest`]).
     ingest: Option<IngestPipeline>,
 }
 
@@ -364,8 +365,8 @@ impl Tippers {
     /// Applies one record's in-memory effect and reports what changed.
     /// This is the only code that changes durable state: live mutations
     /// reach it through [`Tippers::commit`], recovery replays the log
-    /// through it, and the two log-first sequences (quota charges and the
-    /// batched-ingest group commit) apply their records through it. A
+    /// through it, and the quota charge and the capture path's log-first
+    /// group commit apply their records through it. A
     /// change to the policy set or the preferences drops the enforcement
     /// engine; a record that changes nothing keeps it.
     ///
@@ -635,15 +636,22 @@ impl Tippers {
         }
     }
 
-    /// The fail-closed answer of a replica that cannot prove its lag is
-    /// within the configured staleness bound: every subject denied with
-    /// [`crate::DecisionBasis::StaleReplica`], each denial audited. A
-    /// stale replica never guesses from possibly-outdated settings.
-    pub(crate) fn stale_response(&mut self, request: &DataRequest, now: Timestamp) -> DataResponse {
+    /// The fail-closed answer that denies every subject of `request` with
+    /// `decision`, each denial audited: [`EnforcementDecision::shed_overload`]
+    /// for a shed request (overload never releases data and never
+    /// masquerades as a policy decision), or
+    /// [`EnforcementDecision::stale_replica`] on a replica that cannot
+    /// prove its lag is within the staleness bound (it never guesses from
+    /// possibly-outdated settings).
+    pub(crate) fn deny_all(
+        &mut self,
+        request: &DataRequest,
+        now: Timestamp,
+        decision: EnforcementDecision,
+    ) -> DataResponse {
         let subjects = self.subjects_of(request, now);
         let mut results = Vec::with_capacity(subjects.len());
         for user in subjects {
-            let decision = EnforcementDecision::stale_replica();
             self.record_decision(
                 now,
                 user,
@@ -654,7 +662,7 @@ impl Tippers {
             );
             results.push(SubjectResult {
                 user,
-                decision,
+                decision: decision.clone(),
                 records: Vec::new(),
             });
         }
@@ -1081,69 +1089,199 @@ impl Tippers {
         self.audit.take_notifications(user)
     }
 
-    // ---- ingest (steps 2–3) --------------------------------------------------
+    // ---- capture (steps 2–3; see `crate::ingest`) ----------------------------
 
-    /// Ingests captured observations, applying storage-time enforcement:
-    /// a row is stored only when some building policy authorizes storing
-    /// its category for its subject *and* the subject's preferences do not
-    /// deny that policy's flow; retention comes from the authorizing
-    /// policy (shortest wins among authorizers).
-    ///
-    /// Returns `(stored, dropped)` counts.
+    /// Ingests captured observations through the capture path (see
+    /// [`Tippers::ingest_batched`]) and returns `(stored, dropped)`
+    /// counts. A row is stored only when some building policy authorizes
+    /// storing its category for its subject *and* the subject's
+    /// preferences do not deny that policy's flow; retention comes from
+    /// the authorizing policy (shortest wins among authorizers). With
+    /// [`TippersConfig::ingest`] set, observations the admission bound
+    /// hands back count as dropped.
     pub fn ingest(&mut self, observations: &[Observation]) -> (usize, usize) {
-        self.ingest_with_mask(observations, |_| true)
+        let stored = self.capture(observations, |_| true).stored;
+        (stored, observations.len() - stored)
     }
 
-    /// [`Tippers::ingest`] restricted to the observations this engine
-    /// *owns*: every observation still feeds the sensor state (occupancy
-    /// conditions must see the whole building, exactly as the unsharded
-    /// engine does), but only owned observations are enforced, stored and
-    /// counted. The sharded runtime broadcasts each batch to every shard
-    /// with that shard's ownership mask.
-    pub(crate) fn ingest_with_mask(
+    /// The capture path: the only code that turns observations into
+    /// stored rows. Only the observations this engine *owns* are
+    /// admitted, enforced, stored and counted, but every admitted one
+    /// feeds the sensor state (occupancy conditions must see the whole
+    /// building); the sharded runtime broadcasts each batch to every
+    /// shard with that shard's ownership mask.
+    ///
+    /// With [`TippersConfig::ingest`] set, a per-zone admission bound and
+    /// ladder rung apply, then the capture filter and the ladder;
+    /// without it every observation is admitted at full fidelity. Each
+    /// owned observation becomes a row or a drop, audited as a
+    /// [`CaptureDrop`] when a pipeline is configured.
+    /// The rows are group-committed log first: they are applied, and
+    /// tapped for replication, only once the log has synced them, and a
+    /// failed or stalled commit drops them as
+    /// [`CaptureDropReason::DurabilityLost`].
+    pub(crate) fn capture(
         &mut self,
         observations: &[Observation],
         owned: impl Fn(usize) -> bool,
-    ) -> (usize, usize) {
+    ) -> IngestReport {
         self.ensure_enforcer();
-        let mut stored = 0usize;
-        let mut dropped = 0usize;
-        // Ingest is logged *physically*: the record carries the rows that
+        let mut report = IngestReport::empty();
+        if observations.is_empty() {
+            return report;
+        }
+        let (filter, rungs) = match self.ingest.as_mut() {
+            Some(pipeline) => {
+                let filter = CaptureFilter::derive(
+                    &self.ontology,
+                    self.policies.all(),
+                    self.preferences.all(),
+                    &self.macs,
+                );
+                let rungs = pipeline.admit(observations, &owned, &self.model, &filter);
+                (Some(filter), rungs)
+            }
+            None => (
+                None,
+                vec![Some(LadderRung::FullFidelity); observations.len()],
+            ),
+        };
+        for (obs, _) in observations.iter().zip(&rungs).filter(|(_, r)| r.is_none()) {
+            let category = obs.payload.category(&self.ontology);
+            self.note_drop(obs, category, CaptureDropReason::Backpressure);
+            report.rejected.push(obs.clone());
+        }
+
+        // Ingest is logged *physically*: the records carry the rows that
         // survived enforcement and fault injection, so replay is a pure
         // data load independent of sensor state or the fault plan.
         let mut rows: Vec<StoredRow> = Vec::new();
-        for (index, obs) in observations.iter().enumerate() {
+        for (index, (obs, rung)) in observations.iter().zip(rungs).enumerate() {
+            let Some(rung) = rung else {
+                continue;
+            };
             self.sensors.observe(obs);
             if !owned(index) {
                 continue;
             }
             let category = obs.payload.category(&self.ontology);
-            match self.storage_grant(obs, category) {
-                Some(retention) => {
-                    // An injected store-write failure loses the row; it is
-                    // counted (never silently swallowed) so experiments can
-                    // attribute downstream misses to storage loss.
-                    if self.config.fault_plan.should_fail(FaultPoint::StoreWrite) {
-                        self.store_write_failures += 1;
-                        dropped += 1;
-                    } else {
-                        rows.push(StoredRow {
-                            observation: obs.clone(),
-                            category,
-                            policy: retention.0,
-                            stored_at: obs.timestamp,
-                            expires_at: retention
-                                .1
-                                .map(|secs| Timestamp(obs.timestamp.seconds() + secs)),
-                        });
-                        stored += 1;
+            if let Some(filter) = &filter {
+                if filter.suppresses(obs) {
+                    self.note_drop(obs, category, CaptureDropReason::CaptureFilter);
+                    continue;
+                }
+                if rung >= LadderRung::SuppressNonEssential
+                    && !filter.essential_category(&self.ontology, obs)
+                {
+                    self.note_drop(obs, category, CaptureDropReason::Degraded);
+                    report.suppressed += 1;
+                    continue;
+                }
+            }
+            let mut obs = Cow::Borrowed(obs);
+            if rung >= LadderRung::CoarsenAtCapture && coarsen_at_capture(obs.to_mut()) {
+                report.coarsened += 1;
+            }
+            let Some((policy, retention)) = self.storage_grant(&obs, category) else {
+                self.note_drop(&obs, category, CaptureDropReason::Unauthorized);
+                report.unauthorized += 1;
+                continue;
+            };
+            // An injected store-write failure loses the row; it is counted
+            // (never silently swallowed) so experiments can attribute
+            // downstream misses to storage loss.
+            if self.config.fault_plan.should_fail(FaultPoint::StoreWrite) {
+                self.store_write_failures += 1;
+                self.note_drop(&obs, category, CaptureDropReason::StoreFault);
+                continue;
+            }
+            rows.push(StoredRow {
+                category,
+                policy,
+                stored_at: obs.timestamp,
+                expires_at: retention.map(|secs| Timestamp(obs.timestamp.seconds() + secs)),
+                observation: obs.into_owned(),
+            });
+        }
+
+        // One group commit, log first. With a pipeline the rows are
+        // chunked by `batch_max`; without one the call is one record.
+        let stored = rows.len();
+        let batch_max = self
+            .ingest
+            .as_ref()
+            .map_or(usize::MAX, IngestPipeline::batch_max);
+        let mut rows = rows.into_iter().peekable();
+        let mut records: Vec<WalRecord> = Vec::new();
+        while rows.peek().is_some() {
+            records.push(WalRecord::Ingest {
+                rows: rows.by_ref().take(batch_max).collect(),
+            });
+        }
+        let logged = self.wal.is_some() && !records.is_empty();
+        report.synced = records.is_empty() || self.log_first(&records);
+        if report.synced {
+            report.stored = stored;
+            for record in records {
+                self.apply(record).expect("ingest records always apply");
+            }
+        } else {
+            report.unadmitted = stored;
+            for record in &records {
+                if let WalRecord::Ingest { rows } = record {
+                    for row in rows {
+                        self.note_drop(
+                            &row.observation,
+                            row.category,
+                            CaptureDropReason::DurabilityLost,
+                        );
                     }
                 }
-                None => dropped += 1,
             }
         }
-        self.commit(WalRecord::Ingest { rows });
-        (stored, dropped)
+        if let Some(pipeline) = self.ingest.as_mut() {
+            pipeline.tally(&report, logged && report.synced);
+        }
+        report
+    }
+
+    /// Group-commits records ahead of applying them: one append and one
+    /// sync for the whole group, then the replication tap. False when the
+    /// log cannot prove the group durable (a failed append or a stalled
+    /// sync); nothing is tapped then. True without a log.
+    fn log_first(&mut self, records: &[WalRecord]) -> bool {
+        if let Some(wal) = self.wal.as_mut() {
+            match wal.append_batch(records, &self.config.fault_plan) {
+                Ok(commit) if commit.synced => {}
+                Ok(_) => return false,
+                Err(_) => {
+                    self.wal_append_failures += 1;
+                    return false;
+                }
+            }
+        }
+        if let Some(tap) = self.record_tap.as_mut() {
+            tap.extend(records.iter().cloned());
+        }
+        true
+    }
+
+    /// Audits one capture drop on the pipeline's trail (kept only when a
+    /// pipeline is configured).
+    fn note_drop(&mut self, obs: &Observation, category: ConceptId, reason: CaptureDropReason) {
+        if let Some(pipeline) = self.ingest.as_mut() {
+            pipeline.note_drop(obs, category, reason);
+        }
+    }
+
+    /// The enforcement engine's decision on one flow. Fail closed: with no
+    /// engine (its build failed) the flow is denied as
+    /// [`crate::DecisionBasis::InternalError`].
+    fn decide(&self, flow: &RequestFlow) -> EnforcementDecision {
+        match self.enforcer.as_ref() {
+            Some(e) => e.decide(flow, &self.ontology, &self.model),
+            None => EnforcementDecision::fail_closed(),
+        }
     }
 
     /// Finds the authorizing policy for storing one observation. Returns
@@ -1196,13 +1334,7 @@ impl Tippers {
                         requester_space: None,
                         room_occupied: self.sensors.room_occupied(obs.space, obs.timestamp),
                     };
-                    // Fail closed: with no enforcement engine the row is
-                    // dropped rather than stored unvetted.
-                    let decision = match self.enforcer.as_ref() {
-                        Some(e) => e.decide(&flow, &self.ontology, &self.model),
-                        None => EnforcementDecision::fail_closed(),
-                    };
-                    decision.permits()
+                    self.decide(&flow).permits()
                 }
             };
             if authorized {
@@ -1235,150 +1367,28 @@ impl Tippers {
         counts
     }
 
-    // ---- batched, backpressured ingest (see `crate::ingest`) ----------------
-
-    /// Ingests a batch of captured observations through the backpressured
-    /// capture pipeline: per-zone capture filters (derived from the same
-    /// policy + preference corpus the request path enforces), bounded
-    /// per-zone mailboxes, the overload degradation ladder, and one WAL
-    /// group commit amortizing fsync across the whole batch.
+    /// Ingests a batch of captured observations through the capture
+    /// path: per-zone admission bounds, per-zone capture filters (derived
+    /// from the same policy + preference corpus the request path
+    /// enforces), the overload degradation ladder, and one WAL group
+    /// commit amortizing fsync across the whole batch.
     ///
     /// Fail-closed: an observation that cannot be filtered, logged, or
     /// admitted is dropped *and audited* ([`Tippers::capture_drops`]),
-    /// never stored raw. Observations the mailboxes cannot hold come back
-    /// in [`IngestReport::rejected`] — the producer's backpressure signal
-    /// (retry capped, or drop-and-account; never buffer without bound).
+    /// never stored raw. Observations over a zone's admission bound come
+    /// back in [`IngestReport::rejected`] — the producer's backpressure
+    /// signal (retry capped, or drop-and-account; never buffer without
+    /// bound).
     ///
-    /// Without [`TippersConfig::ingest`] this falls through to the
-    /// one-at-a-time [`Tippers::ingest`] path.
-    pub fn ingest_batched(&mut self, observations: &[Observation], now_ms: i64) -> IngestReport {
-        if self.ingest.is_none() {
-            let (stored, _dropped) = self.ingest(observations);
-            let mut report = IngestReport::empty();
-            report.stored = stored;
-            return report;
-        }
-        self.ensure_enforcer();
-        let mut pipeline = self.ingest.take().expect("checked above");
-        let filter = CaptureFilter::derive(
-            &self.ontology,
-            self.policies.all(),
-            self.preferences.all(),
-            &self.macs,
-        );
-        let mut report = IngestReport::empty();
-
-        // Admission: bounded per-zone mailboxes; a full zone pushes back.
-        for obs in observations {
-            if let Err(rejected) = pipeline.admit(now_ms, obs.clone()) {
-                let category = rejected.payload.category(&self.ontology);
-                pipeline.note_drop(&rejected, category, CaptureDropReason::Backpressure);
-                report.rejected.push(rejected);
-            }
-        }
-
-        // Drain in capture order, each observation under its zone's
-        // ladder rung, through the capture filter and the storage-time
-        // enforcement decision the one-at-a-time path makes.
-        let work = pipeline.drain(now_ms, &self.model, &filter);
-        let mut rows: Vec<StoredRow> = Vec::new();
-        for (rung, mut obs) in work {
-            self.sensors.observe(&obs);
-            let category = obs.payload.category(&self.ontology);
-            if filter.suppresses(&obs) {
-                pipeline.note_drop(&obs, category, CaptureDropReason::CaptureFilter);
-                continue;
-            }
-            if rung >= LadderRung::SuppressNonEssential
-                && !filter.essential_category(&self.ontology, &obs)
-            {
-                pipeline.note_drop(&obs, category, CaptureDropReason::Degraded);
-                report.suppressed += 1;
-                continue;
-            }
-            if rung >= LadderRung::CoarsenAtCapture && coarsen_at_capture(&mut obs) {
-                pipeline.note_coarsened();
-                report.coarsened += 1;
-            }
-            match self.storage_grant(&obs, category) {
-                Some((policy, retention)) => {
-                    if self.config.fault_plan.should_fail(FaultPoint::StoreWrite) {
-                        self.store_write_failures += 1;
-                        pipeline.note_drop(&obs, category, CaptureDropReason::StoreFault);
-                    } else {
-                        rows.push(StoredRow {
-                            category,
-                            policy,
-                            stored_at: obs.timestamp,
-                            expires_at: retention
-                                .map(|secs| Timestamp(obs.timestamp.seconds() + secs)),
-                            observation: obs,
-                        });
-                    }
-                }
-                None => {
-                    pipeline.note_drop(&obs, category, CaptureDropReason::Unauthorized);
-                    report.unauthorized += 1;
-                }
-            }
-        }
-
-        // Group commit: one fsync for the whole chunk sequence. A commit
-        // whose durability cannot be proven (fsync stall, append failure)
-        // makes the batch unadmitted — rows are dropped and audited, never
-        // stored on an unproven log. The log goes first; the records are
-        // applied only once it holds them.
-        let stored = rows.len();
-        let batch_max = pipeline.config().batch_max.max(1);
-        let mut rows = rows.into_iter().peekable();
-        let mut records: Vec<WalRecord> = Vec::new();
-        while rows.peek().is_some() {
-            records.push(WalRecord::Ingest {
-                rows: rows.by_ref().take(batch_max).collect(),
-            });
-        }
-        report.synced = true;
-        if let Some(wal) = self.wal.as_mut().filter(|_| !records.is_empty()) {
-            let plan = self.config.fault_plan.clone();
-            match wal.append_batch(&records, &plan) {
-                Ok(commit) if commit.synced => {
-                    pipeline.note_group_commit();
-                    if let Some(tap) = self.record_tap.as_mut() {
-                        tap.extend(records.iter().cloned());
-                    }
-                }
-                Ok(_) => report.synced = false,
-                Err(_) => {
-                    self.wal_append_failures += 1;
-                    report.synced = false;
-                }
-            }
-        }
-        if report.synced {
-            report.stored = stored;
-            pipeline.note_stored(stored as u64);
-            for record in records {
-                self.apply(record).expect("ingest records always apply");
-            }
-        } else {
-            report.unadmitted = stored;
-            for record in &records {
-                if let WalRecord::Ingest { rows } = record {
-                    for row in rows {
-                        pipeline.note_drop(
-                            &row.observation,
-                            row.category,
-                            CaptureDropReason::DurabilityLost,
-                        );
-                    }
-                }
-            }
-        }
-        self.ingest = Some(pipeline);
-        report
+    /// Admission is counted within the call and no longer reads `now_ms`;
+    /// the parameter stays for existing callers. Without
+    /// [`TippersConfig::ingest`] every observation is admitted at full
+    /// fidelity and the call commits one record.
+    pub fn ingest_batched(&mut self, observations: &[Observation], _now_ms: i64) -> IngestReport {
+        self.capture(observations, |_| true)
     }
 
-    /// Lifetime counters of the batched capture pipeline, when configured.
+    /// Lifetime counters of the capture pipeline, when configured.
     pub fn ingest_stats(&self) -> Option<IngestStats> {
         self.ingest.as_ref().map(IngestPipeline::stats)
     }
@@ -1387,12 +1397,6 @@ impl Tippers {
     /// observation the pipeline refused to store, with the reason.
     pub fn capture_drops(&self) -> &[CaptureDrop] {
         self.ingest.as_ref().map_or(&[], IngestPipeline::drops)
-    }
-
-    /// The batched capture pipeline, when configured (mailbox statistics,
-    /// ladder occupancy).
-    pub fn ingest_pipeline(&self) -> Option<&IngestPipeline> {
-        self.ingest.as_ref()
     }
 
     /// Pushes capture-time suppression (unconditional location denials) to
@@ -1741,7 +1745,7 @@ impl Tippers {
             if let Some(ctrl) = self.admission.as_mut() {
                 ctrl.record_external_shed(request.priority);
             }
-            return self.shed_response(request, now);
+            return self.deny_all(request, now, EnforcementDecision::shed_overload());
         }
         // Stage 2: priority-classed admission + brownout ladder.
         let mut admitted = false;
@@ -1760,7 +1764,7 @@ impl Tippers {
                 self.health.mark_recovered();
             }
             if ctrl.admit(request.priority, now_ms, level).is_err() {
-                return self.shed_response(request, now);
+                return self.deny_all(request, now, EnforcementDecision::shed_overload());
             }
             admitted = true;
         }
@@ -1787,24 +1791,18 @@ impl Tippers {
             let decision = if expired {
                 EnforcementDecision::shed_overload()
             } else {
-                match self.enforcer.as_ref() {
-                    Some(e) => {
-                        let flow = RequestFlow {
-                            subject: user,
-                            subject_group: self.group_of(user),
-                            data: request.data,
-                            purpose: request.purpose,
-                            service: Some(request.service.clone()),
-                            action: DataAction::Share,
-                            time: now,
-                            subject_space: self.current_space_of(user, now),
-                            requester_space: request.requester_space,
-                            room_occupied: None,
-                        };
-                        e.decide(&flow, &self.ontology, &self.model)
-                    }
-                    None => EnforcementDecision::fail_closed(),
-                }
+                self.decide(&RequestFlow {
+                    subject: user,
+                    subject_group: self.group_of(user),
+                    data: request.data,
+                    purpose: request.purpose,
+                    service: Some(request.service.clone()),
+                    action: DataAction::Share,
+                    time: now,
+                    subject_space: self.current_space_of(user, now),
+                    requester_space: request.requester_space,
+                    room_occupied: None,
+                })
             };
             // The disclosure budget gates the release *before* the audit
             // record, so an exhausted budget is audited as the
@@ -1862,35 +1860,6 @@ impl Tippers {
                 v.sort();
                 v
             }
-        }
-    }
-
-    /// The fail-closed answer for a shed request: every subject denied
-    /// with [`crate::DecisionBasis::Overload`], each denial audited.
-    /// Overload never releases data and never masquerades as a policy
-    /// decision.
-    fn shed_response(&mut self, request: &DataRequest, now: Timestamp) -> DataResponse {
-        let subjects = self.subjects_of(request, now);
-        let mut results = Vec::with_capacity(subjects.len());
-        for user in subjects {
-            let decision = EnforcementDecision::shed_overload();
-            self.record_decision(
-                now,
-                user,
-                Some(request.service.clone()),
-                request.data,
-                request.purpose,
-                &decision,
-            );
-            results.push(SubjectResult {
-                user,
-                decision,
-                records: Vec::new(),
-            });
-        }
-        DataResponse {
-            results,
-            degraded: true,
         }
     }
 
@@ -1990,12 +1959,9 @@ impl Tippers {
                 requester_space: None,
                 room_occupied: None,
             };
-            // Fail closed: without an engine every subject is excluded
-            // from the aggregate, audited as InternalError.
-            let decision = match self.enforcer.as_ref() {
-                Some(e) => e.decide(&flow, &self.ontology, &self.model),
-                None => EnforcementDecision::fail_closed(),
-            };
+            // Without an engine every subject is excluded from the
+            // aggregate, audited as InternalError.
+            let decision = self.decide(&flow);
             self.record_decision(
                 now,
                 user,

@@ -3,10 +3,15 @@
 //! audit trail all survive; enforcement decisions after recovery are
 //! identical to before the crash.
 
+use std::io;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
 use privacy_aware_buildings::prelude::*;
-use tippers::wal::{MemLog, Wal};
+use tippers::wal::{LogIo, MemLog, Wal};
 use tippers::{Snapshot, SnapshotError, WalConfig, WalError, WalRecord};
 use tippers_policy::{ActionSet, BuildingPolicy, DataAction, PreferenceScope, UserPreference};
+use tippers_sensors::{DeviceId, Observation, ObservationPayload};
 
 fn occupancy_analytics_policy(
     building: tippers_spatial::SpaceId,
@@ -397,4 +402,90 @@ fn checkpoint_with_inconsistent_policy_ids_fails_replay() {
         err,
         WalError::Snapshot(SnapshotError::Inconsistent(_))
     ));
+}
+
+/// A log backend that refuses every append while `refuse` is set.
+#[derive(Debug)]
+struct RefusingLog {
+    inner: MemLog,
+    refuse: Arc<AtomicBool>,
+}
+
+impl LogIo for RefusingLog {
+    fn list(&self) -> io::Result<Vec<String>> {
+        self.inner.list()
+    }
+    fn read(&self, name: &str) -> io::Result<Vec<u8>> {
+        self.inner.read(name)
+    }
+    fn append(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
+        if self.refuse.load(Ordering::SeqCst) {
+            return Err(io::Error::other("append refused"));
+        }
+        self.inner.append(name, bytes)
+    }
+    fn sync(&mut self, name: &str) -> io::Result<()> {
+        self.inner.sync(name)
+    }
+    fn durable_len(&self, name: &str) -> io::Result<u64> {
+        self.inner.durable_len(name)
+    }
+    fn truncate(&mut self, name: &str, len: u64) -> io::Result<()> {
+        self.inner.truncate(name, len)
+    }
+    fn remove(&mut self, name: &str) -> io::Result<()> {
+        self.inner.remove(name)
+    }
+    fn rename(&mut self, from: &str, to: &str) -> io::Result<()> {
+        self.inner.rename(from, to)
+    }
+}
+
+/// Capture logs first: when the log refuses the append, `ingest` stores
+/// nothing and counts the failure, instead of serving a row the log
+/// never held.
+#[test]
+fn ingest_stores_nothing_the_log_refused() {
+    let ontology = Ontology::standard();
+    let c = ontology.concepts().clone();
+    let building = dbh();
+    let refuse = Arc::new(AtomicBool::new(false));
+    let (mut bms, _) = Tippers::open_with(
+        Box::new(RefusingLog {
+            inner: MemLog::new(),
+            refuse: Arc::clone(&refuse),
+        }),
+        ontology.clone(),
+        building.model.clone(),
+        TippersConfig::default(),
+    )
+    .expect("an empty log opens");
+    bms.add_policy(
+        BuildingPolicy::new(
+            PolicyId(0),
+            "Telemetry baseline",
+            building.building,
+            c.data,
+            c.logging,
+        )
+        .with_actions(ActionSet::of(&[DataAction::Collect, DataAction::Store])),
+    );
+    let reading = Observation {
+        device: DeviceId(1),
+        timestamp: Timestamp::at(0, 9, 0),
+        space: building.offices[0],
+        payload: ObservationPayload::Temperature { celsius: 21.0 },
+        subject: None,
+    };
+
+    refuse.store(true, Ordering::SeqCst);
+    assert_eq!(bms.ingest(std::slice::from_ref(&reading)), (0, 1));
+    assert_eq!(bms.store().len(), 0, "a row the log refused was served");
+    assert_eq!(bms.wal_append_failures(), 1);
+
+    // Once the log accepts appends again, the same reading stores.
+    refuse.store(false, Ordering::SeqCst);
+    assert_eq!(bms.ingest(std::slice::from_ref(&reading)), (1, 0));
+    assert_eq!(bms.store().len(), 1);
+    assert_eq!(bms.wal_append_failures(), 1);
 }

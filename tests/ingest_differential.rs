@@ -329,6 +329,10 @@ fn backpressure_hands_back_overflow_for_capped_retry() {
         assert!(rounds <= 8, "retry must terminate");
         let pending = report.rejected;
         report = bms.ingest_batched(&pending, rounds as i64);
+        // Each call's admitted count (offered minus handed back) stays
+        // within the bound.
+        let admitted = pending.len() - report.rejected.len();
+        assert!(admitted <= 8, "admission bound violated: {admitted}");
     }
     assert_eq!(rounds, 5, "40 observations through a bound of 8");
 
@@ -336,11 +340,6 @@ fn backpressure_hands_back_overflow_for_capped_retry() {
     assert_eq!(stats.admitted, 40);
     assert_eq!(stats.stored, 40, "every retried observation stores");
     assert_eq!(stats.rejected, 32 + 24 + 16 + 8);
-    let pipeline = bms.ingest_pipeline().unwrap();
-    assert_eq!(pipeline.max_depth(), 0, "drained after every call");
-    for (_, mb) in pipeline.mailbox_stats() {
-        assert!(mb.high_watermark <= 8, "mailbox bound violated");
-    }
     // Stored rows preserve capture order.
     let times: Vec<i64> = bms
         .store()
@@ -424,4 +423,75 @@ fn write_batch_to_matches_n_write_to_calls_with_fewer_shipping_rounds() {
     let batched_rounds = grouped.shipping_rounds() - base_rounds;
     assert_eq!(split, mutations as u64, "one round per write_to");
     assert_eq!(batched_rounds, 1, "one round for the whole batch");
+}
+
+/// On a pipelined BMS every entry point runs the one capture path:
+/// `ingest` and `ingest_batched` over the same raw stream store identical
+/// rows and audit identical drops. The stream carries sightings of a
+/// capture-suppressed MAC that the mandatory emergency policy would
+/// authorize for storage, so only the capture filter keeps them out.
+#[test]
+fn ingest_and_ingest_batched_share_one_capture_path() {
+    let seed = fault_seed();
+    let fx = fixture();
+    let config = IngestConfig {
+        mailbox_capacity: 1 << 16,
+        ..IngestConfig::default()
+    };
+    let mut one = build_bms(&fx, Some(config.clone()));
+    let mut batched = build_bms(&fx, Some(config));
+    let sightings: Vec<Observation> = (0..16)
+        .map(|i| Observation {
+            device: DeviceId(600 + i),
+            timestamp: Timestamp::at(0, 9, 30) + i64::from(i),
+            space: fx.building.offices[usize::try_from(i).unwrap() % fx.building.offices.len()],
+            payload: ObservationPayload::WifiAssociation {
+                mac: fx.occupants[0].mac,
+                ap: DeviceId(600 + i),
+            },
+            subject: Some(fx.occupants[0].user),
+        })
+        .collect();
+    // Storage-time enforcement alone authorizes every sighting: without
+    // a pipeline (no capture filter) they are stored.
+    let mut unfiltered = build_bms(&fx, None);
+    assert_eq!(unfiltered.ingest(&sightings), (sightings.len(), 0));
+
+    let mut stream = fx.trace.clone();
+    stream.extend(sightings);
+    for (i, chunk) in stream.chunks(48).enumerate() {
+        let (stored, dropped) = one.ingest(chunk);
+        let report = batched.ingest_batched(chunk, i as i64);
+        assert_eq!(stored, report.stored);
+        assert_eq!(stored + dropped, chunk.len());
+    }
+
+    let one_rows = rows(&one);
+    assert!(
+        one_rows.len() > 50,
+        "workload must store rows (seed {seed})"
+    );
+    assert_eq!(
+        one_rows,
+        rows(&batched),
+        "stored rows diverged (seed {seed})"
+    );
+    assert_eq!(one.capture_drops(), batched.capture_drops());
+    assert_eq!(one.ingest_stats(), batched.ingest_stats());
+    let filtered = one
+        .capture_drops()
+        .iter()
+        .filter(|d| d.reason == CaptureDropReason::CaptureFilter)
+        .count();
+    assert!(
+        filtered >= 16,
+        "the sightings are capture-filter drops: {filtered}"
+    );
+    let suppressed = fx.occupants[0].mac;
+    assert!(
+        one_rows
+            .iter()
+            .all(|r| r.observation.payload.mac() != Some(suppressed)),
+        "`ingest` stored a capture-suppressed MAC (seed {seed})"
+    );
 }

@@ -11,8 +11,8 @@
 
 use privacy_aware_buildings::prelude::*;
 use tippers::{
-    DataRequest, EnforcementCore, Priority, ShardSpec, ShardedTippers, SubjectSelector,
-    Tippers as Bms,
+    CaptureDropReason, DataRequest, EnforcementCore, IngestConfig, Priority, ShardSpec,
+    ShardedTippers, SubjectSelector, Tippers as Bms,
 };
 use tippers_policy::{
     catalog, ActionSet, BuildingPolicy, PolicyId, PreferenceId, PreferenceScope, Timestamp,
@@ -230,21 +230,25 @@ fn drive<E: EnforcementCore>(bms: &mut E) -> Vec<String> {
 }
 
 fn unsharded_transcript() -> Vec<String> {
+    unsharded_run(TippersConfig::default()).0
+}
+
+fn unsharded_run(config: TippersConfig) -> (Vec<String>, Bms) {
     let building = dbh();
-    let mut bms = Bms::new(
-        Ontology::standard(),
-        building.model.clone(),
-        TippersConfig::default(),
-    );
-    drive(&mut bms)
+    let mut bms = Bms::new(Ontology::standard(), building.model.clone(), config);
+    (drive(&mut bms), bms)
 }
 
 fn sharded_transcript(shards: usize) -> Vec<String> {
+    sharded_run(shards, TippersConfig::default())
+}
+
+fn sharded_run(shards: usize, config: TippersConfig) -> Vec<String> {
     let building = dbh();
     let mut bms = ShardedTippers::new(
         Ontology::standard(),
         building.model.clone(),
-        TippersConfig::default(),
+        config,
         ShardSpec {
             shards,
             ..ShardSpec::default()
@@ -261,14 +265,16 @@ fn sharded_transcript(shards: usize) -> Vec<String> {
 }
 
 fn assert_identical(shards: usize) {
-    let reference = unsharded_transcript();
-    let sharded = sharded_transcript(shards);
+    assert_transcripts_match(&unsharded_transcript(), &sharded_transcript(shards), shards);
+}
+
+fn assert_transcripts_match(reference: &[String], sharded: &[String], shards: usize) {
     assert_eq!(
         reference.len(),
         sharded.len(),
         "transcript length diverged at {shards} shards"
     );
-    for (i, (a, b)) in reference.iter().zip(&sharded).enumerate() {
+    for (i, (a, b)) in reference.iter().zip(sharded).enumerate() {
         assert_eq!(a, b, "transcript line {i} diverged at {shards} shards");
     }
 }
@@ -286,6 +292,39 @@ fn two_shards_are_byte_identical_to_unsharded() {
 #[test]
 fn eight_shards_are_byte_identical_to_unsharded() {
     assert_identical(8);
+}
+
+/// With a capture pipeline and no overload, sharded ingest runs the same
+/// capture path as the unsharded engine: the capture filter and the
+/// admission bound apply on both, and every count, decision and released
+/// row matches.
+#[test]
+fn pipelined_ingest_is_byte_identical_to_unsharded() {
+    let pipelined = TippersConfig {
+        ingest: Some(IngestConfig {
+            mailbox_capacity: 1 << 16,
+            ..IngestConfig::default()
+        }),
+        ..TippersConfig::default()
+    };
+    let (reference, bms) = unsharded_run(pipelined.clone());
+    let filtered = bms
+        .capture_drops()
+        .iter()
+        .filter(|d| d.reason == CaptureDropReason::CaptureFilter)
+        .count();
+    assert!(filtered > 0, "`ingest` must run the capture filter");
+    let stats = bms.ingest_stats().expect("pipeline configured");
+    assert_eq!(stats.rejected, 0, "no overload");
+    assert_eq!(stats.rung_observations[0], stats.admitted, "full fidelity");
+    assert_ne!(
+        reference,
+        unsharded_transcript(),
+        "the capture filter changes what is stored"
+    );
+    for shards in [1, 2, 8] {
+        assert_transcripts_match(&reference, &sharded_run(shards, pipelined.clone()), shards);
+    }
 }
 
 /// The simulation executor is transcript-transparent: the same
